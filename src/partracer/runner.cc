@@ -46,6 +46,41 @@ buildCamera(const RunConfig &cfg)
     return rt::moderateCamera();
 }
 
+/**
+ * The servants' mean WORK share of the phase window, as measured from
+ * the trace: the value result.activity().meanUtilization() gives, from
+ * one walk of the trace instead of a map. The clipped WORK time of
+ * each servant is an integer sum, and the per-servant shares are
+ * averaged in servantStreams order, so the double is the same bit for
+ * bit.
+ */
+double
+measuredUtilization(const RunResult &result)
+{
+    if (result.servantStreams.empty())
+        return 0.0;
+    const sim::Tick t0 = result.phaseBegin;
+    const sim::Tick t1 = result.phaseEnd;
+    std::map<unsigned, sim::Tick> work;
+    trace::walkStateIntervals(
+        result.events, result.dictionary, t1,
+        [&](unsigned stream, const std::string &state, sim::Tick begin,
+            sim::Tick end) {
+            const sim::Tick lo = std::max(begin, t0);
+            const sim::Tick hi = std::min(end, t1);
+            if (hi > lo && state == "WORK")
+                work[stream] += hi - lo;
+        });
+    const double window = static_cast<double>(t1 - t0);
+    double sum = 0.0;
+    for (unsigned s : result.servantStreams) {
+        const auto it = work.find(s);
+        const sim::Tick ticks = it == work.end() ? 0 : it->second;
+        sum += static_cast<double>(ticks) / window;
+    }
+    return sum / static_cast<double>(result.servantStreams.size());
+}
+
 } // namespace
 
 RunResult
@@ -350,12 +385,8 @@ runRayTracer(const RunConfig &cfg)
             sum / static_cast<double>(cfg.numServants);
     }
     if (!result.events.empty() &&
-        result.phaseEnd > result.phaseBegin) {
-        const auto activity = result.activity();
-        result.servantUtilizationMeasured = activity.meanUtilization(
-            result.servantStreams, "WORK", result.phaseBegin,
-            result.phaseEnd);
-    }
+        result.phaseEnd > result.phaseBegin)
+        result.servantUtilizationMeasured = measuredUtilization(result);
 
     result.jobsSent = truth.jobsSent;
     result.resultsReceived = truth.resultsReceived;

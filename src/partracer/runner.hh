@@ -56,7 +56,9 @@ struct RunResult
     sim::Tick phaseBegin = 0;
     sim::Tick phaseEnd = 0;
     /** Servant utilization from the *measured* trace (the paper's
-     *  number); negative if monitoring was off. */
+     *  number); negative if monitoring was off. Equal, bit for bit,
+     *  to activity().meanUtilization(servantStreams, "WORK",
+     *  phaseBegin, phaseEnd), computed without building the map. */
     double servantUtilizationMeasured = -1.0;
     /** Ground-truth utilization from host-side bookkeeping. */
     double servantUtilizationActual = 0.0;

@@ -8,7 +8,9 @@
 #ifndef TRACE_ACTIVITY_HH
 #define TRACE_ACTIVITY_HH
 
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,41 @@ struct PointMarker
     sim::Tick at = 0;
     std::uint32_t param = 0;
 };
+
+/** Receives one state interval: @p stream was in @p state during
+ *  [begin, end), with end > begin. */
+using IntervalSink =
+    std::function<void(unsigned stream, const std::string &state,
+                       sim::Tick begin, sim::Tick end)>;
+
+/**
+ * The open-state machine behind every state interval of a trace,
+ * walked once over a time-ordered trace:
+ *  - a Begin event closes its stream's open state into an interval,
+ *    but only if the event is strictly later than that state's start,
+ *    and opens the state it enters;
+ *  - Point events and tokens the dictionary does not define are
+ *    skipped;
+ *  - after the last event, the states still open close at
+ *    max(@p trace_end, last event's time stamp), in ascending stream
+ *    order, if that is later than their start.
+ *
+ * ActivityMap::build collects the intervals; callers that only need
+ * sums over them (the run's servant utilization, the activity-sanity
+ * rule) consume them here without building a map.
+ *
+ * @return the time the open states closed at (0 for an empty trace).
+ */
+sim::Tick walkStateIntervals(const std::vector<TraceEvent> &events,
+                             const EventDictionary &dict,
+                             sim::Tick trace_end,
+                             const IntervalSink &sink);
+
+/**
+ * Put @p intervals in the order of ActivityMap::intervals(): by begin,
+ * then by stream, keeping the given order among equal keys.
+ */
+void orderIntervals(std::vector<StateInterval> &intervals);
 
 class ActivityMap
 {
@@ -125,9 +162,16 @@ class ActivityMap
     }
 
   private:
+    /** Positions in allIntervals of @p stream's intervals, in time
+     *  order. */
+    std::span<const std::size_t> indicesOf(unsigned stream) const;
+
     std::vector<StateInterval> allIntervals;
     std::vector<PointMarker> allMarkers;
     std::vector<unsigned> streamIds;
+    /** Positions in allIntervals ordered by stream, each stream's
+     *  range in time order: the per-stream index. */
+    std::vector<std::size_t> byStream;
     std::uint64_t unknown = 0;
     sim::Tick beginTick = 0;
     sim::Tick endTick = 0;

@@ -548,32 +548,36 @@ ActivitySanityRule::check(const std::vector<trace::TraceEvent> &events,
 {
     if (events.empty())
         return;
-    const auto activity = trace::ActivityMap::build(events, dict);
-    const sim::Tick begin = activity.traceBegin();
-    const sim::Tick end = activity.traceEnd();
+    // The window of trace::ActivityMap::build(events, dict).
+    const sim::Tick begin = events.front().timestamp;
+    const sim::Tick end = events.back().timestamp;
     const std::size_t tail = events.size();
 
+    // One walk: per-stream state time, and only the intervals that
+    // leave the window (every interval has end > begin by
+    // construction).
     std::map<unsigned, sim::Tick> busy;
-    for (const auto &iv : activity.intervals()) {
-        if (iv.end < iv.begin) {
-            report(out, *this, tail,
-                   sim::strprintf("stream %u state '%s' has negative "
-                                  "duration",
-                                  iv.stream, iv.state.c_str()));
-            continue;
-        }
-        if (iv.begin < begin || iv.end > end) {
-            report(out, *this, tail,
-                   sim::strprintf("stream %u state '%s' [%llu, %llu) "
-                                  "leaves the trace window",
-                                  iv.stream, iv.state.c_str(),
-                                  static_cast<unsigned long long>(
-                                      iv.begin),
-                                  static_cast<unsigned long long>(
-                                      iv.end)));
-        }
-        busy[iv.stream] += iv.duration();
+    std::vector<trace::StateInterval> leaving;
+    trace::walkStateIntervals(
+        events, dict, 0,
+        [&](unsigned stream, const std::string &state, sim::Tick from,
+            sim::Tick to) {
+            busy[stream] += to - from;
+            if (from < begin || to > end)
+                leaving.push_back(
+                    trace::StateInterval{stream, state, from, to});
+        });
+
+    trace::orderIntervals(leaving);
+    for (const auto &iv : leaving) {
+        report(out, *this, tail,
+               sim::strprintf("stream %u state '%s' [%llu, %llu) "
+                              "leaves the trace window",
+                              iv.stream, iv.state.c_str(),
+                              static_cast<unsigned long long>(iv.begin),
+                              static_cast<unsigned long long>(iv.end)));
     }
+
     const sim::Tick window = end - begin;
     for (const auto &[stream, total] : busy) {
         if (total > window) {

@@ -227,8 +227,11 @@ class LwpStateRule : public Rule
 
 /**
  * Activity-level sanity: every state interval derived from the trace
- * lies inside the trace window with a non-negative duration, and the
- * per-stream busy time never exceeds the window (utilization <= 1).
+ * lies inside the trace window, and the per-stream busy time never
+ * exceeds the window (utilization <= 1). One walk of the trace's
+ * open-state machine (trace::walkStateIntervals), whose intervals
+ * have positive duration by construction; window violations are
+ * reported in trace::ActivityMap's (begin, stream) interval order.
  */
 class ActivitySanityRule : public Rule
 {

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -17,6 +15,7 @@
 #include "analysis/finding.hh"
 #include "analysis/lint.hh"
 #include "analysis/sourcescan.hh"
+#include "scratch_dir.hh"
 
 using namespace supmon;
 using analysis::Finding;
@@ -284,10 +283,8 @@ TEST(Findings, BaselineSuppressesByStableKey)
         {"unused-token", Severity::Warning, "evStale", "src/b.hh:2",
          "stale"},
     };
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         "tracelint_baseline_test.txt")
-            .string();
+    const test::ScratchDir dir;
+    const std::string path = dir.path("tracelint_baseline_test.txt");
     {
         std::ofstream out(path);
         out << "# the paper's historical v3 queue constant\n";
@@ -299,7 +296,6 @@ TEST(Findings, BaselineSuppressesByStableKey)
     EXPECT_EQ(analysis::applyBaseline(f, keys), 1u);
     ASSERT_EQ(f.size(), 1u);
     EXPECT_EQ(f[0].object, "evStale");
-    std::remove(path.c_str());
 }
 
 TEST(Findings, MissingBaselineFileIsAnError)

@@ -31,6 +31,7 @@
 #include "live/robust.hh"
 #include "live/service.hh"
 #include "live/wire.hh"
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
 #include "validate/rules.hh"
@@ -95,7 +96,8 @@ expectCleanAndByteIdentical(
 
 TEST(ChaosEndToEnd, GoldenScenariosSurviveTheFaultPlanByteIdentically)
 {
-    const std::string dir = ::testing::TempDir();
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const auto &scenarios = validate::goldenScenarios();
     ASSERT_GE(scenarios.size(), 4u);
 
@@ -109,11 +111,9 @@ TEST(ChaosEndToEnd, GoldenScenariosSurviveTheFaultPlanByteIdentically)
             dir + "/chaos-" + scenario.name;
         ::mkdir(archiveDir.c_str(), 0700);
         const std::string tenant = "golden";
-        ::unlink((archiveDir + "/" + tenant + ".smtr").c_str());
 
         live::ServiceConfig scfg;
         scfg.socketPath = dir + "/chaos-" + scenario.name + ".sock";
-        ::unlink(scfg.socketPath.c_str());
         scfg.archiveDir = archiveDir;
         scfg.tcpPort = 0;
         scfg.ackIntervalEvents = 64;
@@ -142,7 +142,6 @@ TEST(ChaosEndToEnd, GoldenScenariosSurviveTheFaultPlanByteIdentically)
         pcfg.closeRounds = 500;
         pcfg.spoolPath =
             archiveDir + "/producer-spool.smtr";
-        ::unlink(pcfg.spoolPath.c_str());
         pcfg.connect = link.wrap([port] {
             const int p = port->load();
             return p > 0
@@ -202,12 +201,11 @@ TEST(ChaosEndToEnd, SigkilledDaemonRestartsWithNothingLost)
     GTEST_SKIP() << "fork() after spawning threads is unsupported "
                     "under TSan";
 #endif
-    const std::string dir = ::testing::TempDir();
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string archiveDir = dir + "/chaos-kill9-archive";
     ::mkdir(archiveDir.c_str(), 0700);
-    ::unlink((archiveDir + "/kill9.smtr").c_str());
     const std::string socketPath = dir + "/chaos-kill9.sock";
-    ::unlink(socketPath.c_str());
 
     live::ServiceConfig scfg;
     scfg.socketPath = socketPath;
@@ -250,7 +248,6 @@ TEST(ChaosEndToEnd, SigkilledDaemonRestartsWithNothingLost)
     pcfg.ackTimeoutMs = 2000;
     pcfg.closeRounds = 500;
     pcfg.spoolPath = archiveDir + "/kill9-spool.smtr";
-    ::unlink(pcfg.spoolPath.c_str());
     pcfg.connect = [port] {
         const int p = port->load();
         return p > 0 ? live::connectTcp(
@@ -306,15 +303,14 @@ TEST(ChaosEndToEnd, SigkilledDaemonRestartsWithNothingLost)
 
 TEST(ChaosEndToEnd, EnospcFreezesTheArchiveWhileTheProducerSpools)
 {
-    const std::string dir = ::testing::TempDir();
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string archiveDir = dir + "/chaos-enospc-archive";
     ::mkdir(archiveDir.c_str(), 0700);
-    ::unlink((archiveDir + "/enospc.smtr").c_str());
 
     const auto plan = mustParse("enospc after=100\n");
     live::ServiceConfig scfg;
     scfg.socketPath = dir + "/chaos-enospc.sock";
-    ::unlink(scfg.socketPath.c_str());
     scfg.archiveDir = archiveDir;
     scfg.tcpPort = 0;
     scfg.ackIntervalEvents = 8;
@@ -336,7 +332,6 @@ TEST(ChaosEndToEnd, EnospcFreezesTheArchiveWhileTheProducerSpools)
     pcfg.ackTimeoutMs = 50;
     pcfg.closeRounds = 5;
     pcfg.spoolPath = archiveDir + "/enospc-spool.smtr";
-    ::unlink(pcfg.spoolPath.c_str());
     pcfg.connect = [port] {
         return live::connectTcp("127.0.0.1",
                                 static_cast<std::uint16_t>(port));

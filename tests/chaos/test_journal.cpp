@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 
 using namespace supmon;
@@ -43,14 +44,6 @@ eventRange(std::uint64_t from, std::uint64_t to)
     return out;
 }
 
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path = ::testing::TempDir() + "/" + name;
-    ::unlink(path.c_str());
-    return path;
-}
-
 std::uint64_t
 fileSize(const std::string &path)
 {
@@ -75,7 +68,8 @@ appendGarbage(const std::string &path, std::size_t extra)
 
 TEST(JournaledWriter, CommitMakesAppendedRecordsVisibleToReaders)
 {
-    const std::string path = tempPath("journal-commit.smtr");
+    const test::ScratchDir dir;
+    const std::string path = dir.path("journal-commit.smtr");
     trace::WriterOptions opts;
     opts.journaled = true;
     opts.commitInterval = 8;
@@ -110,7 +104,8 @@ TEST(JournaledWriter, CommitMakesAppendedRecordsVisibleToReaders)
 
 TEST(Recovery, AdoptsWholeUncommittedRecordsAndTrimsTornTail)
 {
-    const std::string path = tempPath("journal-recover.smtr");
+    const test::ScratchDir dir;
+    const std::string path = dir.path("journal-recover.smtr");
     trace::WriterOptions opts;
     opts.journaled = true;
     opts.commitInterval = 8;
@@ -150,7 +145,8 @@ TEST(Recovery, PatchesAStaleHeaderCountUpToWholeRecords)
     // A journaled writer that died between commits: the tail records
     // are whole on disk but the header undercounts them. Salvage
     // adopts the whole records instead of discarding them.
-    const std::string path = tempPath("journal-stale.smtr");
+    const test::ScratchDir dir;
+    const std::string path = dir.path("journal-stale.smtr");
     {
         trace::TraceWriter writer(path, 3);
         ASSERT_TRUE(writer.ok());
@@ -183,7 +179,8 @@ TEST(Recovery, PatchesAStaleHeaderCountUpToWholeRecords)
 
 TEST(Recovery, ResumeExistingAppendsAfterTheSalvagedTail)
 {
-    const std::string path = tempPath("journal-resume.smtr");
+    const test::ScratchDir dir;
+    const std::string path = dir.path("journal-resume.smtr");
     const auto first = eventRange(0, 10);
     const auto second = eventRange(10, 25);
     {
@@ -206,7 +203,7 @@ TEST(Recovery, ResumeExistingAppendsAfterTheSalvagedTail)
 
     // The resumed file is byte-identical to one written in a single
     // uninterrupted run.
-    const std::string oneShot = tempPath("journal-oneshot.smtr");
+    const std::string oneShot = dir.path("journal-oneshot.smtr");
     {
         trace::TraceWriter writer(oneShot, 41);
         ASSERT_TRUE(writer.ok());
@@ -230,14 +227,16 @@ TEST(Recovery, ResumeExistingAppendsAfterTheSalvagedTail)
 
 TEST(Recovery, ResumingAMissingFileFails)
 {
-    const std::string path = tempPath("journal-missing.smtr");
+    const test::ScratchDir dir;
+    const std::string path = dir.path("journal-missing.smtr");
     trace::TraceWriter writer(trace::ResumeExisting{}, path, {});
     EXPECT_FALSE(writer.ok());
 }
 
 TEST(JournaledWriter, EnospcHookFailsStickilyAtTheConfiguredRecord)
 {
-    const std::string path = tempPath("journal-enospc.smtr");
+    const test::ScratchDir dir;
+    const std::string path = dir.path("journal-enospc.smtr");
     trace::WriterOptions opts;
     opts.journaled = true;
     opts.commitInterval = 4;

@@ -24,6 +24,7 @@
 #include "live/service.hh"
 #include "live/tokens.hh"
 #include "live/wire.hh"
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 #include "validate/rules.hh"
 
@@ -45,6 +46,7 @@ eventNumber(std::uint64_t n, unsigned streams = 1)
 
 struct Daemon
 {
+    test::ScratchDir dir;
     live::ServiceConfig cfg;
     std::unique_ptr<live::LiveService> service;
     std::thread loop;
@@ -53,11 +55,9 @@ struct Daemon
     explicit Daemon(const std::string &name,
                     std::uint64_t ackInterval = 8)
     {
-        const std::string dir = ::testing::TempDir();
-        archiveDir = dir + "/robust-" + name + "-archive";
+        archiveDir = dir.path("robust-" + name + "-archive");
         ::mkdir(archiveDir.c_str(), 0700);
-        cfg.socketPath = dir + "/robust-" + name + ".sock";
-        ::unlink(cfg.socketPath.c_str());
+        cfg.socketPath = dir.path("robust-" + name + ".sock");
         cfg.archiveDir = archiveDir;
         cfg.tcpPort = 0;
         cfg.ackIntervalEvents = ackInterval;
@@ -101,7 +101,8 @@ expectByteIdentical(const std::string &archivePath,
                     const std::vector<trace::TraceEvent> &events,
                     std::uint64_t seed)
 {
-    const std::string ref = ::testing::TempDir() + "/robust-ref.smtr";
+    const test::ScratchDir dir;
+    const std::string ref = dir.path("robust-ref.smtr");
     ASSERT_TRUE(trace::saveTrace(ref, events, seed));
     std::vector<std::vector<unsigned char>> bytes(2);
     const std::string *paths[2] = {&archivePath, &ref};
@@ -202,9 +203,8 @@ TEST(RobustProducer, DegradesToTheSpoolAndReplaysOnReconnect)
 {
     // The daemon comes up only after the producer has already
     // buffered and spooled; the spool is then the replay source.
-    const std::string spool =
-        ::testing::TempDir() + "/robust-spool.smtr";
-    ::unlink(spool.c_str());
+    const test::ScratchDir dir;
+    const std::string spool = dir.path("robust-spool.smtr");
 
     std::shared_ptr<std::atomic<int>> port =
         std::make_shared<std::atomic<int>>(0);

@@ -9,9 +9,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 #include "validate/scenarios.hh"
 
@@ -83,8 +83,9 @@ TEST(FaultScenario, TraceShowsTheFaultAndRecoveryTimeline)
 
 TEST(FaultScenario, SameSeedAndPlanRerunIsByteIdentical)
 {
-    const char *a = "/tmp/supmon_fault_rerun_a.smtr";
-    const char *b = "/tmp/supmon_fault_rerun_b.smtr";
+    const test::ScratchDir dir;
+    const std::string a = dir.path("rerun_a.smtr");
+    const std::string b = dir.path("rerun_b.smtr");
     const auto run1 = validate::runScenario(faultyScenario());
     const auto run2 = validate::runScenario(faultyScenario());
     ASSERT_TRUE(run1.completed);
@@ -94,6 +95,4 @@ TEST(FaultScenario, SameSeedAndPlanRerunIsByteIdentical)
     const std::string bytes_a = fileBytes(a);
     ASSERT_FALSE(bytes_a.empty());
     EXPECT_EQ(bytes_a, fileBytes(b));
-    std::remove(a);
-    std::remove(b);
 }

@@ -16,6 +16,7 @@
 
 #include "live/collector.hh"
 #include "live/sinks.hh"
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 #include "validate/golden.hh"
 #include "validate/scenarios.hh"
@@ -55,10 +56,11 @@ TEST_P(LosslessLive, StreamedArchiveIsByteIdenticalToBatch)
     const auto result = validate::runScenario(*scenario);
     ASSERT_TRUE(result.completed);
 
-    const std::string liveFile = ::testing::TempDir() + "/live-" +
-                                 scenario->name + ".smtr";
-    const std::string batchFile = ::testing::TempDir() + "/batch-" +
-                                  scenario->name + ".smtr";
+    const test::ScratchDir dir;
+    const std::string liveFile =
+        dir.path("live-" + scenario->name + ".smtr");
+    const std::string batchFile =
+        dir.path("batch-" + scenario->name + ".smtr");
     const std::uint64_t seed = result.config.seed;
 
     // Batch half: the classical save-after-the-run path.

@@ -22,6 +22,7 @@
 
 #include "live/service.hh"
 #include "live/wire.hh"
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 
 using namespace supmon;
@@ -255,11 +256,11 @@ TEST(WireProtocol, TenantGlobMatchesLiteralsStarsAndQuestionMarks)
 
 TEST(LiveServiceEndToEnd, ProducerSubscriberArchiveAndStats)
 {
-    const std::string dir = ::testing::TempDir();
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string socketPath = dir + "/live-e2e.sock";
     const std::string archiveDir = dir + "/live-e2e-archive";
     ::mkdir(archiveDir.c_str(), 0700);
-    ::unlink((archiveDir + "/alpha.smtr").c_str());
 
     live::ServiceConfig cfg;
     cfg.socketPath = socketPath;
@@ -364,11 +365,11 @@ TEST(LiveServiceEndToEnd, ProducerSubscriberArchiveAndStats)
 
 TEST(LiveServiceEndToEnd, TcpResumeSessionAcksAndArchives)
 {
-    const std::string dir = ::testing::TempDir();
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string socketPath = dir + "/live-tcp.sock";
     const std::string archiveDir = dir + "/live-tcp-archive";
     ::mkdir(archiveDir.c_str(), 0700);
-    ::unlink((archiveDir + "/gamma.smtr").c_str());
 
     live::ServiceConfig cfg;
     cfg.socketPath = socketPath;
@@ -399,12 +400,17 @@ TEST(LiveServiceEndToEnd, TcpResumeSessionAcksAndArchives)
     }
 
     // The handshake ack arrives first (floor 0), then the archive
-    // watermark climbs to cover all 8 records.
+    // watermark climbs to cover all 8 records. The collector thread
+    // archives them, so the pings are spaced out and bounded in time
+    // as in statsEventually: sent back to back, all of them can be
+    // answered before a loaded host runs the collector.
     live::FrameReader reader(fd);
     live::Frame frame;
     std::uint64_t floor = 0;
-    for (int rounds = 0; rounds < 200 && floor < events.size();
+    for (int rounds = 0; rounds < 500 && floor < events.size();
          ++rounds) {
+        if (rounds > 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
         std::vector<unsigned char> ping;
         live::encodePing(ping);
         ASSERT_TRUE(
@@ -437,13 +443,12 @@ TEST(LiveServiceEndToEnd, TcpResumeSessionAcksAndArchives)
 
 TEST(LiveServiceEndToEnd, FifoCarriesAProducerStream)
 {
-    const std::string dir = ::testing::TempDir();
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
     const std::string socketPath = dir + "/live-fifo.sock";
     const std::string fifoPath = dir + "/live-fifo.in";
     const std::string archiveDir = dir + "/live-fifo-archive";
     ::mkdir(archiveDir.c_str(), 0700);
-    ::unlink((archiveDir + "/feed.smtr").c_str());
-    ::unlink(fifoPath.c_str());
 
     live::ServiceConfig cfg;
     cfg.socketPath = socketPath;

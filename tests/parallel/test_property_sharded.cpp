@@ -17,12 +17,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "query/engine.hh"
 #include "query/sharded.hh"
+#include "scratch_dir.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
@@ -314,7 +314,8 @@ TEST(PropertySharded, RandomTracesAndQueriesBitExactForShards1To8)
 
 TEST(PropertySharded, FileExecutionMatchesInMemoryOnRandomTraces)
 {
-    const char *path = "/tmp/supmon_property_sharded.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("property.smtr");
     const auto dict = testDictionary();
     for (std::uint64_t seed = 100; seed < 112; ++seed) {
         sim::Random rng(sim::deriveSeed(20260809, seed));
@@ -336,7 +337,6 @@ TEST(PropertySharded, FileExecutionMatchesInMemoryOnRandomTraces)
                 << describeQuery(q);
         }
     }
-    std::remove(path);
 }
 
 /**

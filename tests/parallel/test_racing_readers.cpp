@@ -10,11 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "parallel/pool.hh"
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
 
@@ -42,11 +42,16 @@ randomTrace(std::size_t n, std::uint64_t seed)
     return events;
 }
 
-const char *tmpPath = "/tmp/supmon_racing_readers_test.smtr";
-
 } // namespace
 
-TEST(RacingReaders, ConcurrentWholeFileReadersSeeIdenticalTraces)
+class RacingReaders : public ::testing::Test
+{
+  protected:
+    test::ScratchDir dir;
+    const std::string tmpPath = dir.path("racing.smtr");
+};
+
+TEST_F(RacingReaders, ConcurrentWholeFileReadersSeeIdenticalTraces)
 {
     const auto original = randomTrace(20000, 21);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
@@ -76,10 +81,9 @@ TEST(RacingReaders, ConcurrentWholeFileReadersSeeIdenticalTraces)
             ++failures;
     });
     EXPECT_EQ(failures.load(), 0);
-    std::remove(tmpPath);
 }
 
-TEST(RacingReaders, ConcurrentRangeViewsTileTheFileExactly)
+TEST_F(RacingReaders, ConcurrentRangeViewsTileTheFileExactly)
 {
     const auto original = randomTrace(10007, 22); // prime: ragged split
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
@@ -117,5 +121,4 @@ TEST(RacingReaders, ConcurrentRangeViewsTileTheFileExactly)
     for (std::uint64_t c : seen)
         total += c;
     EXPECT_EQ(total, n);
-    std::remove(tmpPath);
 }

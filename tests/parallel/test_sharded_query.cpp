@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "query/engine.hh"
 #include "query/sharded.hh"
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
 
@@ -232,7 +232,8 @@ TEST(ShardedQuery, EmptyAndTinyTraces)
 
 TEST(ShardedQuery, FileExecutionMatchesAndReportsErrors)
 {
-    const char *path = "/tmp/supmon_sharded_query_test.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("sharded.smtr");
     const auto dict = testDictionary();
     const auto events = boundaryHostileTrace(3000, 5);
     ASSERT_TRUE(trace::saveTrace(path, events));
@@ -250,12 +251,10 @@ TEST(ShardedQuery, FileExecutionMatchesAndReportsErrors)
         expectTablesIdentical(sharded, serial,
                               "file jobs " + std::to_string(jobs));
     }
-    std::remove(path);
 
     query::Table table;
     std::string error;
-    EXPECT_FALSE(query::runQueryFileSharded(
-        "/tmp/supmon_no_such_sharded.smtr", dict, q, 4, table,
-        error));
+    EXPECT_FALSE(query::runQueryFileSharded(dir.path("no_such.smtr"), dict,
+                                            q, 4, table, error));
     EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }

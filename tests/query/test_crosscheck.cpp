@@ -10,11 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "query/engine.hh"
 #include "query/sharded.hh"
+#include "scratch_dir.hh"
 #include "trace/activity.hh"
 #include "trace/io.hh"
 #include "validate/scenarios.hh"
@@ -193,7 +193,8 @@ TEST(QueryCrossCheck, FileStreamingMatchesInMemoryOnGoldenTrace)
     // Round-trip one golden trace through the on-disk format and run
     // the same query once streamed from the file and once in memory:
     // every cell must be identical.
-    const char *path = "/tmp/supmon_query_crosscheck.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("crosscheck.smtr");
     const auto res = runNamedScenario("fig07-mailbox");
     ASSERT_TRUE(trace::saveTrace(path, res.events));
 
@@ -208,7 +209,6 @@ TEST(QueryCrossCheck, FileStreamingMatchesInMemoryOnGoldenTrace)
         << error;
 
     expectTablesIdentical(streamed, batch, "file-vs-memory");
-    std::remove(path);
 }
 
 TEST(QueryCrossCheck, ShardCountIndependence)
@@ -278,7 +278,8 @@ TEST(QueryCrossCheck, ShardCountIndependence)
 
 TEST(QueryCrossCheck, ShardedFileMatchesStreamingFile)
 {
-    const char *path = "/tmp/supmon_query_crosscheck_sharded.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("crosscheck_sharded.smtr");
     const auto res = runNamedScenario("fig10-versions");
     ASSERT_TRUE(trace::saveTrace(path, res.events));
 
@@ -298,5 +299,4 @@ TEST(QueryCrossCheck, ShardedFileMatchesStreamingFile)
         expectTablesIdentical(sharded, streamed,
                               "file jobs " + std::to_string(jobs));
     }
-    std::remove(path);
 }

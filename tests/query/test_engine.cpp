@@ -7,9 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "query/engine.hh"
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
 
@@ -312,7 +311,8 @@ TEST(QueryEngine, AcceptedAndSeenCounters)
 
 TEST(QueryEngine, FileStreamingMatchesInMemoryExecution)
 {
-    const char *path = "/tmp/supmon_query_engine_test.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("engine.smtr");
     const auto dict = testDictionary();
 
     sim::Random rng(77);
@@ -359,14 +359,14 @@ TEST(QueryEngine, FileStreamingMatchesInMemoryExecution)
             }
         }
     }
-    std::remove(path);
 }
 
 TEST(QueryEngine, RunQueryFileReportsUnreadableInput)
 {
+    const test::ScratchDir dir;
     query::Table table;
     std::string error;
-    EXPECT_FALSE(query::runQueryFile("/tmp/supmon_missing.smtr",
+    EXPECT_FALSE(query::runQueryFile(dir.path("missing.smtr"),
                                      testDictionary(),
                                      mustParse("count"), table,
                                      error));

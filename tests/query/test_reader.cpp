@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
 
@@ -21,17 +21,6 @@ using trace::TraceEvent;
 
 namespace
 {
-
-/** Per-test file name so parallel ctest runs cannot collide. */
-std::string
-uniquePath()
-{
-    return std::string("/tmp/supmon_query_reader_") +
-           ::testing::UnitTest::GetInstance()
-               ->current_test_info()
-               ->name() +
-           ".smtr";
-}
 
 std::vector<TraceEvent>
 sampleTrace(std::size_t n, std::uint64_t seed)
@@ -83,7 +72,8 @@ drain(trace::TraceReader &reader)
 
 TEST(TraceReader, ReadsRecordsIncrementally)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     const auto original = sampleTrace(1000, 11);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
 
@@ -108,12 +98,12 @@ TEST(TraceReader, ReadsRecordsIncrementally)
         EXPECT_EQ(streamed[i].stream, original[i].stream);
         EXPECT_EQ(streamed[i].flags, original[i].flags);
     }
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, EmptyTraceIsCleanEnd)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     ASSERT_TRUE(trace::saveTrace(tmpPath, {}));
     trace::TraceReader reader(tmpPath);
     ASSERT_TRUE(reader.ok()) << reader.error();
@@ -122,12 +112,12 @@ TEST(TraceReader, EmptyTraceIsCleanEnd)
     TraceEvent ev;
     EXPECT_FALSE(reader.next(ev));
     EXPECT_TRUE(reader.error().empty());
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, MissingFileReportsError)
 {
-    trace::TraceReader reader("/tmp/supmon_no_such_trace.smtr");
+    const test::ScratchDir dir;
+    trace::TraceReader reader(dir.path("no_such_trace.smtr"));
     EXPECT_FALSE(reader.ok());
     EXPECT_NE(reader.error().find("cannot open"), std::string::npos);
     TraceEvent ev;
@@ -136,7 +126,8 @@ TEST(TraceReader, MissingFileReportsError)
 
 TEST(TraceReader, BadMagicAndVersionRejected)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     writeBytes(tmpPath, "NOPE\x01\x00\x00\x00"
                         "\x00\x00\x00\x00\x00\x00\x00\x00");
     trace::TraceReader bad(tmpPath);
@@ -148,12 +139,12 @@ TEST(TraceReader, BadMagicAndVersionRejected)
     trace::TraceReader version(tmpPath);
     EXPECT_FALSE(version.ok());
     EXPECT_NE(version.error().find("version"), std::string::npos);
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, TruncatedFileReportedNotShortRead)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     const auto original = sampleTrace(100, 7);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
     const std::string bytes = fileBytes(tmpPath);
@@ -170,12 +161,12 @@ TEST(TraceReader, TruncatedFileReportedNotShortRead)
     TraceEvent ev;
     EXPECT_FALSE(reader.next(ev));
     EXPECT_FALSE(trace::loadTrace(tmpPath).has_value());
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, HeaderOnlyAndPartialHeaderRejected)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     const auto original = sampleTrace(10, 3);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
     const std::string bytes = fileBytes(tmpPath);
@@ -187,12 +178,12 @@ TEST(TraceReader, HeaderOnlyAndPartialHeaderRejected)
         EXPECT_FALSE(reader.ok()) << "cut at " << cut;
         EXPECT_EQ(drain(reader), 0u);
     }
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, CorruptCountCannotOverRead)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     const auto original = sampleTrace(50, 9);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
     std::string bytes = fileBytes(tmpPath);
@@ -208,12 +199,12 @@ TEST(TraceReader, CorruptCountCannotOverRead)
     trace::TraceReader reader(tmpPath);
     EXPECT_FALSE(reader.ok());
     EXPECT_FALSE(trace::loadTrace(tmpPath).has_value());
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, FuzzTruncatedAndBitFlippedFiles)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     // 24 truncations + 24 bit flips over a valid trace file: every
     // variant must be read to completion (or rejection) without a
     // crash or sanitizer report, and must never produce more events
@@ -260,12 +251,12 @@ TEST(TraceReader, FuzzTruncatedAndBitFlippedFiles)
             EXPECT_LE(loaded->size(), maxRecords);
         }
     }
-    std::remove(tmpPath.c_str());
 }
 
 TEST(TraceReader, AgreesWithLoadTrace)
 {
-    const std::string tmpPath = uniquePath();
+    const test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
     const auto original = sampleTrace(333, 5);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
     const auto loaded = trace::loadTrace(tmpPath);
@@ -281,5 +272,4 @@ TEST(TraceReader, AgreesWithLoadTrace)
         ++i;
     }
     EXPECT_EQ(i, loaded->size());
-    std::remove(tmpPath.c_str());
 }

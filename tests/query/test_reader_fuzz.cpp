@@ -23,6 +23,7 @@
 
 #include "query/engine.hh"
 #include "query/sharded.hh"
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/io.hh"
 
@@ -157,7 +158,8 @@ exerciseReaders(const std::string &path, const std::string &what)
 
 TEST(ReaderFuzz, DeterministicHeaderCorruptions)
 {
-    const std::string path = "/tmp/supmon_reader_fuzz_hdr.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("header.smtr");
     const auto events = validEvents(50, 1);
     ASSERT_TRUE(trace::saveTrace(path, events, 77));
     std::vector<unsigned char> good;
@@ -190,12 +192,12 @@ TEST(ReaderFuzz, DeterministicHeaderCorruptions)
             << c.what << ": " << reader.error();
         exerciseReaders(path, c.what);
     }
-    std::remove(path.c_str());
 }
 
 TEST(ReaderFuzz, SeededTruncationsEveryBoundary)
 {
-    const std::string path = "/tmp/supmon_reader_fuzz_trunc.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("truncated.smtr");
     const auto events = validEvents(40, 2);
     ASSERT_TRUE(trace::saveTrace(path, events));
     std::vector<unsigned char> good;
@@ -229,12 +231,12 @@ TEST(ReaderFuzz, SeededTruncationsEveryBoundary)
         exerciseReaders(path,
                         "truncated to " + std::to_string(len));
     }
-    std::remove(path.c_str());
 }
 
 TEST(ReaderFuzz, SeededBitFlipsAndGarbage)
 {
-    const std::string path = "/tmp/supmon_reader_fuzz_bits.smtr";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("bits.smtr");
     const auto events = validEvents(64, 3);
     ASSERT_TRUE(trace::saveTrace(path, events));
     std::vector<unsigned char> good;
@@ -296,17 +298,15 @@ TEST(ReaderFuzz, SeededBitFlipsAndGarbage)
             EXPECT_FALSE(reader.ok()) << "partial tail accepted";
         }
     }
-    std::remove(path.c_str());
 }
 
 TEST(ReaderFuzz, MissingAndEmptyFiles)
 {
-    exerciseReaders("/tmp/supmon_reader_fuzz_missing.smtr",
-                    "missing file");
-    const std::string path = "/tmp/supmon_reader_fuzz_empty.smtr";
+    const test::ScratchDir dir;
+    exerciseReaders(dir.path("missing.smtr"), "missing file");
+    const std::string path = dir.path("empty.smtr");
     ASSERT_TRUE(writeFile(path, {}));
     trace::TraceReader reader(path);
     EXPECT_FALSE(reader.ok());
     exerciseReaders(path, "empty file");
-    std::remove(path.c_str());
 }

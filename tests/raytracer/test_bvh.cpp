@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "raytracer/bvh.hh"
 #include "raytracer/scenes.hh"
 #include "sim/random.hh"
@@ -37,16 +40,20 @@ randomRay(sim::Random &rng)
         return Ray{origin, dir.normalized()};
     }
 }
+
+// Scene name and size. The name is a std::string so that gtest prints
+// its text: a const char * prints as its address, which changes from
+// process to process and would put a different test name on every build.
+using SceneCase = std::pair<std::string, int>;
 } // namespace
 
-class BvhEquivalence
-    : public ::testing::TestWithParam<std::pair<const char *, int>>
+class BvhEquivalence : public ::testing::TestWithParam<SceneCase>
 {
   protected:
     Scene
     makeScene() const
     {
-        const std::string name = GetParam().first;
+        const std::string &name = GetParam().first;
         if (name == "moderate")
             return rt::moderateScene();
         if (name == "pyramid")
@@ -94,10 +101,8 @@ TEST_P(BvhEquivalence, OcclusionMatchesBruteForce)
 
 INSTANTIATE_TEST_SUITE_P(
     Scenes, BvhEquivalence,
-    ::testing::Values(std::make_pair("moderate", 0),
-                      std::make_pair("pyramid", 2),
-                      std::make_pair("pyramid", 3),
-                      std::make_pair("grid", 8)));
+    ::testing::Values(SceneCase{"moderate", 0}, SceneCase{"pyramid", 2},
+                      SceneCase{"pyramid", 3}, SceneCase{"grid", 8}));
 
 TEST(Bvh, ReducesPrimitiveTestsOnComplexScene)
 {

@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "raytracer/camera.hh"
 #include "raytracer/image.hh"
+#include "scratch_dir.hh"
 
 using namespace supmon;
 using rt::Camera;
@@ -65,7 +65,8 @@ TEST(Image, WritesValidPpm)
     Image img(4, 2);
     for (unsigned i = 0; i < 8; ++i)
         img.setLinear(i, {0.5, 0.25, 1.0});
-    const std::string path = "/tmp/supmon_test_image.ppm";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("image.ppm");
     ASSERT_TRUE(img.writePpm(path));
     std::ifstream in(path, std::ios::binary);
     std::string magic;
@@ -81,7 +82,6 @@ TEST(Image, WritesValidPpm)
     std::vector<char> data(3 * 8);
     in.read(data.data(), static_cast<std::streamsize>(data.size()));
     EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(data.size()));
-    std::remove(path.c_str());
 }
 
 TEST(Image, WriteToBadPathFails)

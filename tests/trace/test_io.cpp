@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
+#include "scratch_dir.hh"
 #include "sim/random.hh"
 #include "trace/activity.hh"
 #include "trace/io.hh"
@@ -38,20 +38,24 @@ randomTrace(std::size_t n, std::uint64_t seed)
     return events;
 }
 
-const char *tmpPath = "/tmp/supmon_trace_io_test.smtr";
-
 } // namespace
 
-TEST(TraceIo, RoundTripsEmptyTrace)
+class TraceIo : public ::testing::Test
+{
+  protected:
+    test::ScratchDir dir;
+    const std::string tmpPath = dir.path("trace.smtr");
+};
+
+TEST_F(TraceIo, RoundTripsEmptyTrace)
 {
     ASSERT_TRUE(trace::saveTrace(tmpPath, {}));
     const auto loaded = trace::loadTrace(tmpPath);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_TRUE(loaded->empty());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, RoundTripsEveryField)
+TEST_F(TraceIo, RoundTripsEveryField)
 {
     const auto original = randomTrace(5000, 42);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
@@ -65,10 +69,9 @@ TEST(TraceIo, RoundTripsEveryField)
         EXPECT_EQ((*loaded)[i].stream, original[i].stream);
         EXPECT_EQ((*loaded)[i].flags, original[i].flags);
     }
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, SeedRoundTripsInHeader)
+TEST_F(TraceIo, SeedRoundTripsInHeader)
 {
     const auto original = randomTrace(10, 3);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original, 0xdeadbeefcafeull));
@@ -76,19 +79,17 @@ TEST(TraceIo, SeedRoundTripsInHeader)
     ASSERT_TRUE(reader.ok());
     EXPECT_EQ(reader.seed(), 0xdeadbeefcafeull);
     EXPECT_EQ(reader.declaredCount(), original.size());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, SeedDefaultsToZero)
+TEST_F(TraceIo, SeedDefaultsToZero)
 {
     ASSERT_TRUE(trace::saveTrace(tmpPath, randomTrace(3, 1)));
     trace::TraceReader reader(tmpPath);
     ASSERT_TRUE(reader.ok());
     EXPECT_EQ(reader.seed(), 0u);
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, ReadsVersion1Files)
+TEST_F(TraceIo, ReadsVersion1Files)
 {
     // Hand-craft a version-1 file (no seed field in the header) and
     // check the reader still decodes it, reporting seed 0.
@@ -114,10 +115,9 @@ TEST(TraceIo, ReadsVersion1Files)
     ASSERT_TRUE(loaded.has_value());
     ASSERT_EQ(loaded->size(), original.size());
     EXPECT_EQ((*loaded)[2].timestamp, original[2].timestamp);
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, UnknownVersionRejected)
+TEST_F(TraceIo, UnknownVersionRejected)
 {
     ASSERT_TRUE(trace::saveTrace(tmpPath, randomTrace(2, 5)));
     std::fstream f(tmpPath,
@@ -127,25 +127,23 @@ TEST(TraceIo, UnknownVersionRejected)
     f.write(reinterpret_cast<const char *>(&bad), sizeof(bad));
     f.close();
     EXPECT_FALSE(trace::loadTrace(tmpPath).has_value());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, MissingFileYieldsNullopt)
+TEST_F(TraceIo, MissingFileYieldsNullopt)
 {
     EXPECT_FALSE(
-        trace::loadTrace("/tmp/supmon_no_such_trace.smtr").has_value());
+        trace::loadTrace(dir.path("no_such_trace.smtr")).has_value());
 }
 
-TEST(TraceIo, WrongMagicRejected)
+TEST_F(TraceIo, WrongMagicRejected)
 {
     std::ofstream out(tmpPath, std::ios::binary);
     out << "NOPE0000000000000000";
     out.close();
     EXPECT_FALSE(trace::loadTrace(tmpPath).has_value());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, TruncatedFileRejected)
+TEST_F(TraceIo, TruncatedFileRejected)
 {
     const auto original = randomTrace(100, 7);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
@@ -159,10 +157,9 @@ TEST(TraceIo, TruncatedFileRejected)
               static_cast<std::streamsize>(data.size() / 2));
     out.close();
     EXPECT_FALSE(trace::loadTrace(tmpPath).has_value());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, TrailingPartialRecordRejected)
+TEST_F(TraceIo, TrailingPartialRecordRejected)
 {
     // A file longer than the declared count implies, by a fraction of
     // a record, means the writer died mid-record (or the file is
@@ -178,10 +175,9 @@ TEST(TraceIo, TrailingPartialRecordRejected)
               std::string::npos)
         << reader.error();
     EXPECT_FALSE(trace::loadTrace(tmpPath).has_value());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, WholeAppendedRecordsStillReadable)
+TEST_F(TraceIo, WholeAppendedRecordsStillReadable)
 {
     // Whole records beyond the declared count stay permitted (and
     // ignored): only a ragged, partial tail is an error.
@@ -195,10 +191,9 @@ TEST(TraceIo, WholeAppendedRecordsStillReadable)
     const auto loaded = trace::loadTrace(tmpPath);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->size(), original.size());
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, RangeViewDeliversExactSlice)
+TEST_F(TraceIo, RangeViewDeliversExactSlice)
 {
     const auto original = randomTrace(100, 13);
     ASSERT_TRUE(trace::saveTrace(tmpPath, original));
@@ -221,15 +216,14 @@ TEST(TraceIo, RangeViewDeliversExactSlice)
     trace::TraceReader beyond(tmpPath, 200, 5);
     ASSERT_TRUE(beyond.ok());
     EXPECT_EQ(beyond.rangeLength(), 0u);
-    std::remove(tmpPath);
 }
 
-TEST(TraceIo, UnwritablePathFails)
+TEST_F(TraceIo, UnwritablePathFails)
 {
     EXPECT_FALSE(trace::saveTrace("/nonexistent-dir/trace.smtr", {}));
 }
 
-TEST(TraceIo, LoadedTraceFeedsEvaluation)
+TEST_F(TraceIo, LoadedTraceFeedsEvaluation)
 {
     // A trace survives the disk round trip and still evaluates.
     trace::EventDictionary dict;
@@ -249,5 +243,4 @@ TEST(TraceIo, LoadedTraceFeedsEvaluation)
     const auto map = trace::ActivityMap::build(*loaded, dict, 1000);
     EXPECT_DOUBLE_EQ(map.utilization(0, "WORK", 100, 1000),
                      500.0 / 900.0);
-    std::remove(tmpPath);
 }

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 #include "validate/golden.hh"
 #include "validate/scenarios.hh"
@@ -49,8 +50,9 @@ TEST(Determinism, Fig10RerunIsBitIdentical)
 
     // The on-disk representation must be byte-identical as well,
     // otherwise saved traces could not serve as regression baselines.
-    const std::string path_a = ::testing::TempDir() + "/det-a.smtr";
-    const std::string path_b = ::testing::TempDir() + "/det-b.smtr";
+    const test::ScratchDir dir;
+    const std::string path_a = dir.path("det-a.smtr");
+    const std::string path_b = dir.path("det-b.smtr");
     ASSERT_TRUE(trace::saveTrace(path_a, first.events));
     ASSERT_TRUE(trace::saveTrace(path_b, second.events));
     const std::string bytes_a = slurp(path_a);

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "scratch_dir.hh"
 #include "validate/golden.hh"
 #include "validate/rules.hh"
 #include "validate/scenarios.hh"
@@ -116,8 +117,8 @@ TEST(GoldenDigest, HashCoversEveryField)
 TEST(GoldenFile, RoundTripsThroughDisk)
 {
     const validate::TraceDigest digest{0x0123456789abcdefULL, 4711};
-    const std::string path =
-        ::testing::TempDir() + "/roundtrip.golden";
+    const test::ScratchDir dir;
+    const std::string path = dir.path("roundtrip.golden");
     ASSERT_TRUE(validate::saveGolden(path, digest));
     const auto loaded = validate::loadGolden(path);
     ASSERT_TRUE(loaded.has_value());

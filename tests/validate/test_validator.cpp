@@ -407,6 +407,94 @@ TEST(ActivitySanityRule, AcceptsWellFormedActivity)
         << validate::formatViolations(violations);
 }
 
+TEST(ActivitySanityRule, RejectsIntervalBeforeTheFirstEvent)
+{
+    // The trace window opens at the first event (200), but stream 7
+    // entered WORK at 100: that interval leaves the window, and the
+    // stream's state time exceeds the window as a consequence.
+    const std::vector<TraceEvent> events = {
+        ev(200, par::evWaitForJobBegin, 0, 9),
+        ev(100, par::evWorkBegin, 1, 7),
+        ev(300, par::evWaitForJobBegin, 0, 7),
+        ev(400, par::evWaitForJobBegin, 0, 9)};
+    const auto violations = runRule<validate::ActivitySanityRule>(
+        events, par::rayTracerDictionary());
+    ASSERT_EQ(violations.size(), 2u)
+        << validate::formatViolations(violations);
+    for (const auto &v : violations) {
+        EXPECT_EQ(v.rule, "activity-sanity");
+        EXPECT_EQ(v.eventIndex, events.size());
+    }
+    EXPECT_EQ(violations[0].message,
+              "stream 7 state 'WORK' [100, 300) leaves the trace window");
+    EXPECT_EQ(violations[1].message,
+              "stream 7 accumulates 300 ns of state time in a 200 ns "
+              "window (utilization > 1)");
+}
+
+TEST(ActivitySanityRule, RejectsBusyTimeBeyondTheWindow)
+{
+    // Stream 7's clock runs backwards (500 -> 200): its two WORK
+    // intervals overlap, each inside the window, but together they
+    // hold more state time than the window has.
+    const std::vector<TraceEvent> events = {
+        ev(100, par::evWorkBegin, 1, 7),
+        ev(500, par::evWaitForJobBegin, 0, 7),
+        ev(200, par::evWorkBegin, 2, 7),
+        ev(600, par::evWaitForJobBegin, 0, 7)};
+    const auto violations = runRule<validate::ActivitySanityRule>(
+        events, par::rayTracerDictionary());
+    ASSERT_EQ(violations.size(), 1u)
+        << validate::formatViolations(violations);
+    EXPECT_EQ(violations[0].rule, "activity-sanity");
+    EXPECT_EQ(violations[0].eventIndex, events.size());
+    EXPECT_EQ(violations[0].message,
+              "stream 7 accumulates 800 ns of state time in a 500 ns "
+              "window (utilization > 1)");
+}
+
+TEST(ActivitySanityRule, CappedReportKeepsTheEarliestIntervals)
+{
+    // Streams 100..1 enter WORK at 900 + s % 10, before the window
+    // opens at 950, and leave it at 1000 + s: 100 intervals leave the
+    // window, then 100 streams exceed it. The report orders the
+    // intervals by (begin, stream), so the validator's cap keeps the
+    // streams with the smallest s % 10 first.
+    std::vector<TraceEvent> events = {
+        ev(950, par::evWaitForJobBegin, 0, 0)};
+    for (unsigned s = 100; s >= 1; --s)
+        events.push_back(ev(900 + s % 10, par::evWorkBegin, s, s));
+    for (unsigned s = 1; s <= 100; ++s)
+        events.push_back(ev(1000 + s, par::evWaitForJobBegin, 0, s));
+
+    TraceValidator v;
+    v.addRule(std::make_unique<validate::ActivitySanityRule>(
+        par::rayTracerDictionary()));
+    const auto violations = v.validate(events);
+
+    std::vector<std::string> expected;
+    for (unsigned begin = 900; begin < 910; ++begin) {
+        for (unsigned s = 1; s <= 100; ++s) {
+            if (900 + s % 10 != begin)
+                continue;
+            expected.push_back(sim::strprintf(
+                "stream %u state 'WORK' [%u, %u) leaves the trace "
+                "window",
+                s, begin, 1000 + s));
+        }
+    }
+    expected.resize(TraceValidator::maxViolationsPerRule);
+    expected.push_back("(136 further violations suppressed)");
+
+    ASSERT_EQ(violations.size(), expected.size())
+        << validate::formatViolations(violations);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(violations[i].rule, "activity-sanity");
+        EXPECT_EQ(violations[i].eventIndex, events.size());
+        EXPECT_EQ(violations[i].message, expected[i]) << "at " << i;
+    }
+}
+
 // ---------------------------------------------------------------------
 // the validator
 // ---------------------------------------------------------------------
