@@ -8,22 +8,15 @@
  * TraceReader — the trace is never resident in memory during the
  * timed runs, which is the whole point of the streaming engine.
  *
- * Two executors are timed per pipeline shape:
- *
- *  - the serial QueryEngine (one event at a time, the streaming
- *    reference the sharded merge is bit-exact against), and
- *  - the sharded executor at 1, 2 and 4 jobs (zero-copy mmap blocks,
- *    fused decode+filter, arena folds — see ARCHITECTURE.md §11).
- *
- * The sharded pipeline is gated against the serial baseline: it must
- * win at jobs=1 (batch + arena execution beats per-event dispatch on
- * one thread, before any parallelism) and hold a scaling floor at
- * jobs=4. The headline targets (>= 1.6x serial for `states`,
- * >100M events/s for a filter+count row on the reference box) are
- * printed in the paper column; the hard in-bench floors are set
- * below them so scheduler noise on a loaded single-core host does
- * not flake CI, and `--check` against the committed BENCH_query.json
- * enforces the real regression line.
+ * Each pipeline shape is timed through runQueryFile (the `serial`
+ * rows: the sharded executor with one shard, as the CLI runs by
+ * default) and through runQueryFileSharded at 1, 2 and 4 jobs
+ * (zero-copy mmap blocks, fused decode+filter, arena folds — see
+ * ARCHITECTURE.md §11). The jobs=4 scaling and jobs=4-vs-serial
+ * ratios are reported as context only; they gate nothing, because
+ * the usable core count of the host bounds them, not the code.
+ * `--check` against the committed BENCH_query.json is the
+ * regression line.
  *
  * Results go to stdout (banner format) and to BENCH_query.json in
  * the working directory; `--check [baseline.json]` compares against
@@ -135,15 +128,15 @@ eps(double value)
 
 /**
  * Time one pipeline through the sharded executor at 1, 2 and 4
- * jobs, record the rows and the jobs4-vs-jobs1 scaling ratio, and
- * enforce @p ratioFloor on jobs=4 against @p serialRate.
- * @return false if a run failed or the floor does not hold.
+ * jobs, and record the rows, the jobs4-vs-jobs1 scaling ratio and
+ * the jobs4-vs-@p serialRate ratio.
+ * @return false if a run failed.
  */
 bool
 shardedSweep(const std::string &path,
              const trace::EventDictionary &dict, const char *text,
-             const char *id, double serialRate, double ratioFloor,
-             const char *ratioTarget, bench::JsonReport &report)
+             const char *id, double serialRate,
+             bench::JsonReport &report)
 {
     bool ok = true;
     double jobs1 = 0.0;
@@ -173,26 +166,7 @@ shardedSweep(const std::string &path,
                vsSerial);
     bench::paperRow(
         sim::strprintf("%s sharded jobs=4 vs serial", id).c_str(),
-        ratioTarget, sim::strprintf("%.2fx", vsSerial));
-    // Floor 1: batch + arena execution must beat the per-event
-    // serial engine on a single thread, before any parallelism.
-    if (jobs1 < serialRate) {
-        std::fprintf(stderr,
-                     "FAIL: %s sharded jobs=1 (%.0f ev/s) slower "
-                     "than serial (%.0f ev/s)\n",
-                     id, jobs1, serialRate);
-        ok = false;
-    }
-    // Floor 2: the jobs=4 ratio floor (kept below the headline
-    // target so a loaded single-core CI host does not flake; the
-    // committed-baseline --check holds the real line).
-    if (vsSerial < ratioFloor) {
-        std::fprintf(stderr,
-                     "FAIL: %s sharded jobs=4 only %.2fx serial "
-                     "(floor %.2fx)\n",
-                     id, vsSerial, ratioFloor);
-        ok = false;
-    }
+        "-", sim::strprintf("%.2fx", vsSerial));
     return ok;
 }
 
@@ -247,17 +221,16 @@ main(int argc, char **argv)
     }
 
     // The same pipelines through the sharded executor: the merge is
-    // bit-exact with the streaming pass, so the only difference is
-    // the wall clock.
+    // bit-exact for every job count, so the only difference is the
+    // wall clock.
     std::printf("\n");
     if (!shardedSweep(path, dict, "states", "states", serialStates,
-                      1.3, ">= 1.6x", report))
+                      report))
         status = 1;
     std::printf("\n");
     if (!shardedSweep(path, dict,
                       "filter stream=servant* token=evWork* | count",
-                      "filter_count", serialFilterCount, 2.0,
-                      ">= 2x", report))
+                      "filter_count", serialFilterCount, report))
         status = 1;
     std::printf("\n");
     if (checkMode) {

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "query/sharded.hh"
 #include "trace/io.hh"
 
 namespace supmon
@@ -150,22 +151,6 @@ FilterChain::accepts(const trace::TraceEvent &ev)
 }
 
 std::size_t
-FilterChain::filterBatch(trace::TraceEvent *events, std::size_t n)
-{
-    if (filters.empty())
-        return n;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (accepts(events[i])) {
-            if (kept != i)
-                events[kept] = events[i];
-            ++kept;
-        }
-    }
-    return kept;
-}
-
-std::size_t
 FilterChain::filterDecodeBatch(const unsigned char *raw,
                                std::size_t n, trace::TraceEvent *out)
 {
@@ -227,8 +212,8 @@ makeFoldContext(const Query &query,
     ctx.dict = &dict;
     ctx.window = query.window;
     ctx.traceEnd = trace_end;
-    // Compile the activity state machine once; the serial fold and
-    // every shard of a sharded run share it read-only.
+    // Compile the activity state machine once; every shard and the
+    // merger share it read-only.
     if (query.fold.kind == FoldKind::States ||
         query.fold.kind == FoldKind::Utilization)
         ctx.stateTable = StateTable::compile(dict);
@@ -248,40 +233,12 @@ makeFoldContext(const Query &query,
     return ctx;
 }
 
-QueryEngine::QueryEngine(const Query &query,
-                         const trace::EventDictionary &dict,
-                         sim::Tick trace_end)
-    : chain(query, dict),
-      fold(makeFold(query.fold,
-                    makeFoldContext(query, dict, trace_end)))
-{
-}
-
-void
-QueryEngine::onEvent(const trace::TraceEvent &ev)
-{
-    ++seen;
-    if (!chain.accepts(ev))
-        return;
-    ++accepted;
-    fold->onEvent(ev);
-}
-
-Table
-QueryEngine::finish()
-{
-    return fold->finish();
-}
-
 Table
 runQuery(const std::vector<trace::TraceEvent> &events,
          const trace::EventDictionary &dict, const Query &query,
          sim::Tick trace_end)
 {
-    QueryEngine engine(query, dict, trace_end);
-    for (const auto &ev : events)
-        engine.onEvent(ev);
-    return engine.finish();
+    return runQuerySharded(events, dict, query, 1, trace_end);
 }
 
 bool
@@ -289,24 +246,8 @@ runQueryFile(const std::string &path,
              const trace::EventDictionary &dict, const Query &query,
              Table &out, std::string &error, sim::Tick trace_end)
 {
-    trace::TraceReader reader(path);
-    if (!reader.ok()) {
-        error = reader.error();
-        return false;
-    }
-    QueryEngine engine(query, dict, trace_end);
-    std::vector<trace::TraceEvent> batch(4096);
-    std::size_t n;
-    while ((n = reader.nextBatch(batch.data(), batch.size())) != 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            engine.onEvent(batch[i]);
-    }
-    if (!reader.error().empty()) {
-        error = reader.error();
-        return false;
-    }
-    out = engine.finish();
-    return true;
+    return runQueryFileSharded(path, dict, query, 1, out, error,
+                               trace_end);
 }
 
 } // namespace query

@@ -1,18 +1,18 @@
 /**
  * @file
- * The streaming query engine: binds a parsed Query to an event
- * dictionary, then consumes a trace one event at a time — from memory
- * or straight from a trace::TraceReader — applying the filter stages
- * and feeding the fold sink. Memory use is bounded by the fold's
- * aggregation state, never by the trace length.
+ * The query front end: binds a parsed Query to an event dictionary —
+ * the compiled filter stages and the fold context — and runs it over
+ * an in-memory trace or straight from a saved file. Both calls are
+ * the sharded executor (query/sharded.hh) with one shard: its head
+ * shard drains into the merger after every block, so memory is
+ * bounded by the fold's aggregation state, never by the trace
+ * length.
  */
 
 #ifndef QUERY_ENGINE_HH
 #define QUERY_ENGINE_HH
 
-#include <functional>
 #include <map>
-#include <set>
 
 #include "query/folds.hh"
 #include "query/query.hh"
@@ -49,15 +49,6 @@ class FilterChain
     {
         return filters.empty();
     }
-
-    /**
-     * Batch filter stage: run the compiled predicate over a whole
-     * decoded block, compacting survivors (stably) to the front of
-     * @p events.
-     * @return the number of surviving records.
-     */
-    std::size_t filterBatch(trace::TraceEvent *events,
-                            std::size_t n);
 
     /**
      * Fused decode + filter over a raw record block (from
@@ -108,58 +99,21 @@ class FilterChain
 /**
  * The fold context a query implies: dictionary, window spec, the
  * narrowest explicit time range across the filter stages, and the
- * trace-end close time. Serial and sharded execution derive their
- * (identical) context through this one function.
+ * trace-end close time. Every execution path derives its context
+ * through this one function.
  */
 FoldContext makeFoldContext(const Query &query,
                             const trace::EventDictionary &dict,
                             sim::Tick trace_end);
 
-class QueryEngine
-{
-  public:
-    /**
-     * @param trace_end close still-open activity states at this
-     *        time, like ActivityMap::build(); 0 = last event.
-     */
-    QueryEngine(const Query &query,
-                const trace::EventDictionary &dict,
-                sim::Tick trace_end = 0);
-
-    /** Feed one event (in trace order). */
-    void onEvent(const trace::TraceEvent &ev);
-
-    /** End of stream; call once. */
-    Table finish();
-
-    /** Events that passed every filter stage. */
-    std::uint64_t
-    eventsAccepted() const
-    {
-        return accepted;
-    }
-
-    std::uint64_t
-    eventsSeen() const
-    {
-        return seen;
-    }
-
-  private:
-    FilterChain chain;
-    std::unique_ptr<Fold> fold;
-    std::uint64_t seen = 0;
-    std::uint64_t accepted = 0;
-};
-
-/** Run a query over an in-memory trace. */
+/** Run a query over an in-memory trace (one shard). */
 Table runQuery(const std::vector<trace::TraceEvent> &events,
                const trace::EventDictionary &dict, const Query &query,
                sim::Tick trace_end = 0);
 
 /**
  * Run a query over a saved trace file in a single streaming pass
- * (no full-trace vector).
+ * (one shard, no full-trace vector).
  * @return false with @p error set if the file is unreadable or
  *         truncated.
  */

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "sim/logging.hh"
@@ -25,7 +27,7 @@ tokenName(const trace::EventDictionary &dict, std::uint16_t token)
     return def ? def->name : sim::strprintf("0x%04x", token);
 }
 
-/** Open-state slots are flat-indexed below this stream id; rarer
+/** Per-stream slots are flat-indexed below this stream id; rarer
  *  (hostile) ids above it fall back to an ordered map. */
 constexpr unsigned flatStreamLimit = 1u << 16;
 
@@ -40,107 +42,15 @@ stateTableFor(const FoldContext &ctx)
 }
 
 /**
- * The open-state machine of ActivityMap::build(), streamed: emits
- * each closed StateInterval-equivalent through a callback instead of
- * collecting a vector. Feeding it the same events in the same order
- * produces the same intervals, per stream in the same order, so
- * per-(stream,state) statistics match the batch path bit for bit.
- * States are handled as interned ids of a compiled StateTable (one
- * dense-table load per event instead of a dictionary map lookup) and
- * open states live in a flat per-stream array, with an ordered-map
- * fallback for hostile stream ids.
+ * Per-stream slots: flat-indexed below flatStreamLimit (grown
+ * geometrically), an ordered map for the rarer, hostile ids above.
  */
-class StateTracker
+template <typename T>
+class StreamSlots
 {
   public:
-    StateTracker(std::shared_ptr<const StateTable> state_table,
-                 sim::Tick trace_end)
-        : table(std::move(state_table)), traceEnd(trace_end)
-    {
-    }
-
-    template <typename Emit>
-    void
-    onEvent(const trace::TraceEvent &ev, Emit &&emit)
-    {
-        if (!sawEvent) {
-            sawEvent = true;
-            firstTs = ev.timestamp;
-        }
-        lastTs = ev.timestamp;
-        const std::uint16_t sid = table->tokenState[ev.token];
-        if (sid == StateTable::noState)
-            return;
-        OpenState &cur = slot(ev.stream);
-        if (cur.isOpen && ev.timestamp > cur.since)
-            emit(ev.stream, cur.sid, cur.since, ev.timestamp);
-        cur.sid = sid;
-        cur.since = ev.timestamp;
-        cur.isOpen = true;
-    }
-
-    /** Close still-open states; call exactly once, at end of stream.
-     *  Streams are visited in ascending id order, exactly like the
-     *  ordered-map implementation this replaces. */
-    template <typename Emit>
-    void
-    close(Emit &&emit)
-    {
-        endTs = traceEnd ? std::max(traceEnd, lastTs) : lastTs;
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            const OpenState &cur = flat[s];
-            if (cur.isOpen && endTs > cur.since)
-                emit(s, cur.sid, cur.since, endTs);
-        }
-        for (const auto &kv : overflow) {
-            if (kv.second.isOpen && endTs > kv.second.since)
-                emit(kv.first, kv.second.sid, kv.second.since,
-                     endTs);
-        }
-    }
-
-    /**
-     * Sharded merge: adopt the global first/last-event state so that
-     * close() and traceBegin()/traceCloseTime() reproduce what a
-     * serial tracker fed the whole accepted stream would compute.
-     */
-    void
-    prime(bool saw, sim::Tick first, sim::Tick last)
-    {
-        sawEvent = saw;
-        firstTs = first;
-        lastTs = last;
-    }
-
-    bool
-    any() const
-    {
-        return sawEvent;
-    }
-
-    sim::Tick
-    traceBegin() const
-    {
-        return firstTs;
-    }
-
-    /** Valid after close(). */
-    sim::Tick
-    traceCloseTime() const
-    {
-        return endTs;
-    }
-
-  private:
-    struct OpenState
-    {
-        sim::Tick since = 0;
-        std::uint16_t sid = 0;
-        bool isOpen = false;
-    };
-
-    OpenState &
-    slot(unsigned stream)
+    T &
+    operator[](unsigned stream)
     {
         if (stream >= flatStreamLimit)
             return overflow[stream];
@@ -151,17 +61,24 @@ class StateTracker
         return flat[stream];
     }
 
-    std::shared_ptr<const StateTable> table;
-    std::vector<OpenState> flat;
-    std::map<unsigned, OpenState> overflow;
-    sim::Tick traceEnd = 0;
-    sim::Tick firstTs = 0;
-    sim::Tick lastTs = 0;
-    sim::Tick endTs = 0;
-    bool sawEvent = false;
+    /** Visit (stream, slot) for every slot, streams ascending. */
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (unsigned s = 0; s < flat.size(); ++s)
+            f(s, flat[s]);
+        for (const auto &kv : overflow)
+            f(kv.first, kv.second);
+    }
+
+  private:
+    std::vector<T> flat;
+    std::map<unsigned, T> overflow;
 };
 
-/** Tick window bucketing shared by the windowed folds. */
+/** Tick window bucketing: the one implementation behind the windowed
+ *  folds and their live preview. */
 struct Windower
 {
     WindowSpec spec;
@@ -205,6 +122,17 @@ struct Windower
         return true;
     }
 
+    /** Number of windows that ended at or before @p t. */
+    std::int64_t
+    endedBy(sim::Tick t) const
+    {
+        if (!originSet || t < origin || t - origin < spec.size)
+            return 0;
+        return static_cast<std::int64_t>(
+                   (t - origin - spec.size) / spec.step) +
+               1;
+    }
+
     sim::Tick
     startOf(std::int64_t k) const
     {
@@ -212,513 +140,13 @@ struct Windower
     }
 };
 
-// ---------------------------------------------------------------- count
-
-class CountFold : public Fold
+bool
+fixedWindows(const FoldContext &ctx)
 {
-  public:
-    explicit CountFold(const FoldContext &ctx) : context(ctx)
-    {
-        if (context.window) {
-            windower.spec = *context.window;
-            if (context.hasFrom)
-                windower.anchor(context.from);
-        }
-    }
+    return ctx.window && ctx.window->step == ctx.window->size;
+}
 
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        if (!context.window) {
-            ++counts[{0, ev.stream, ev.token}];
-            return;
-        }
-        windower.anchor(ev.timestamp);
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        if (!windower.indicesOf(ev.timestamp, lo, hi))
-            return;
-        for (std::int64_t k = lo; k <= hi; ++k)
-            ++counts[{k, ev.stream, ev.token}];
-    }
-
-    Table
-    finish() override
-    {
-        Table table;
-        if (context.window)
-            table.columns.push_back("window_ms");
-        table.columns.insert(table.columns.end(),
-                             {"stream", "event", "count"});
-        for (const auto &kv : counts) {
-            const auto &[window, stream, token] = kv.first;
-            std::vector<Value> row;
-            if (context.window) {
-                row.push_back(Value::number(sim::toMilliseconds(
-                    windower.startOf(window))));
-            }
-            row.push_back(
-                Value::str(context.dict->streamName(stream)));
-            row.push_back(Value::str(tokenName(*context.dict, token)));
-            row.push_back(Value::count(kv.second));
-            table.addRow(std::move(row));
-        }
-        return table;
-    }
-
-    /** Sharded merge (unwindowed): add a pre-counted aggregate. */
-    void
-    absorbCount(unsigned stream, std::uint16_t token,
-                std::uint64_t n)
-    {
-        counts[{0, stream, token}] += n;
-    }
-
-  private:
-    FoldContext context;
-    Windower windower;
-    std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
-             std::uint64_t>
-        counts;
-};
-
-// ---------------------------------------------------------------- states
-
-class StatesFold : public Fold
-{
-  public:
-    explicit StatesFold(const FoldContext &ctx)
-        : context(ctx), table(stateTableFor(ctx)),
-          tracker(table, ctx.traceEnd)
-    {
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        tracker.onEvent(ev, [this](unsigned stream,
-                                   std::uint16_t sid,
-                                   sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
-    }
-
-    Table
-    finish() override
-    {
-        tracker.close([this](unsigned stream, std::uint16_t sid,
-                             sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
-        const sim::Tick t0 =
-            context.hasFrom ? context.from : tracker.traceBegin();
-        const sim::Tick t1 =
-            context.hasTo ? context.to : tracker.traceCloseTime();
-
-        Table table_;
-        table_.columns = {"stream",  "state",  "count",
-                          "total_ms", "mean_ms", "min_ms",
-                          "max_ms",  "share"};
-        // Streams ascending, states in statesInOrder() order (which
-        // state ids index by construction) — the exact row order of
-        // the string-keyed implementation this replaces.
-        for (const auto &kv : perStream) {
-            for (std::size_t sid = 0; sid < kv.second.size();
-                 ++sid) {
-                const Slot &slot = kv.second[sid];
-                if (slot.stat.count() == 0)
-                    continue;
-                const double share =
-                    t1 > t0 ? static_cast<double>(slot.covered) /
-                                  static_cast<double>(t1 - t0)
-                            : 0.0;
-                table_.addRow(
-                    {Value::str(context.dict->streamName(kv.first)),
-                     Value::str(table->states[sid]),
-                     Value::count(slot.stat.count()),
-                     Value::number(slot.stat.sum() * 1e-6),
-                     Value::number(slot.stat.mean() * 1e-6),
-                     Value::number(slot.stat.min() * 1e-6),
-                     Value::number(slot.stat.max() * 1e-6),
-                     Value::number(share)});
-            }
-        }
-        return table_;
-    }
-
-  private:
-    /** Per-(stream, state) accumulation; indexed by state id. */
-    struct Slot
-    {
-        sim::SummaryStat stat;
-        sim::Tick covered = 0;
-    };
-
-    void
-    addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
-                sim::Tick end)
-    {
-        auto it = perStream.find(stream);
-        if (it == perStream.end()) {
-            it = perStream
-                     .emplace(stream,
-                              std::vector<Slot>(table->states.size()))
-                     .first;
-        }
-        Slot &slot = it->second[sid];
-        slot.stat.push(static_cast<double>(end - begin));
-        // Overlap with the evaluation range, clamped per interval.
-        const sim::Tick lo = context.hasFrom
-                                 ? std::max(begin, context.from)
-                                 : begin;
-        const sim::Tick hi =
-            context.hasTo ? std::min(end, context.to) : end;
-        if (hi > lo)
-            slot.covered += hi - lo;
-    }
-
-    FoldContext context;
-    std::shared_ptr<const StateTable> table;
-    StateTracker tracker;
-    std::map<unsigned, std::vector<Slot>> perStream;
-};
-
-// ----------------------------------------------------------- utilization
-
-class UtilizationFold : public Fold
-{
-  public:
-    UtilizationFold(const FoldSpec &spec, const FoldContext &ctx)
-        : context(ctx), state(spec.state),
-          table(stateTableFor(ctx)), targetSid(table->idOf(state)),
-          tracker(table, ctx.traceEnd)
-    {
-        if (context.window) {
-            windower.spec = *context.window;
-            if (context.hasFrom)
-                windower.anchor(context.from);
-        }
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        if (context.window)
-            windower.anchor(ev.timestamp);
-        tracker.onEvent(ev, [this](unsigned stream,
-                                   std::uint16_t sid,
-                                   sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
-    }
-
-    Table
-    finish() override
-    {
-        tracker.close([this](unsigned stream, std::uint16_t sid,
-                             sim::Tick begin, sim::Tick end) {
-            addInterval(stream, sid, begin, end);
-        });
-        const sim::Tick t0 =
-            context.hasFrom ? context.from : tracker.traceBegin();
-        const sim::Tick t1 =
-            context.hasTo ? context.to : tracker.traceCloseTime();
-
-        Table table;
-        if (!context.window) {
-            table.columns = {"stream", "state", "utilization"};
-            for (unsigned stream : streams) {
-                sim::Tick covered = 0;
-                if (auto it = overlap.find({0, stream});
-                    it != overlap.end())
-                    covered = it->second;
-                const double u =
-                    t1 > t0 ? static_cast<double>(covered) /
-                                  static_cast<double>(t1 - t0)
-                            : 0.0;
-                table.addRow(
-                    {Value::str(context.dict->streamName(stream)),
-                     Value::str(state), Value::number(u)});
-            }
-            return table;
-        }
-
-        table.columns = {"window_ms", "stream", "state",
-                         "utilization"};
-        const std::int64_t last = windower.lastIndexBefore(t1);
-        // Dense rows (a value for every window) unless that would
-        // explode; tiny windows over a long trace fall back to the
-        // windows that actually saw the state.
-        const bool dense =
-            last >= 0 &&
-            (last + 1) * static_cast<std::int64_t>(
-                             std::max<std::size_t>(streams.size(), 1)) <=
-                200000;
-        if (dense) {
-            for (std::int64_t k = 0; k <= last; ++k) {
-                for (unsigned stream : streams) {
-                    sim::Tick covered = 0;
-                    if (auto it = overlap.find({k, stream});
-                        it != overlap.end())
-                        covered = it->second;
-                    addWindowRow(table, k, stream, covered);
-                }
-            }
-        } else {
-            for (const auto &kv : overlap)
-                addWindowRow(table, kv.first.first, kv.first.second,
-                             kv.second);
-        }
-        return table;
-    }
-
-    /** Sharded merge: adopt global event bounds (see
-     *  StateTracker::prime). */
-    void
-    primeTracker(bool saw, sim::Tick first, sim::Tick last)
-    {
-        tracker.prime(saw, first, last);
-    }
-
-    /** Sharded merge: anchor the window origin at the global first
-     *  accepted event (no-op when already anchored or unwindowed). */
-    void
-    anchorOrigin(sim::Tick t)
-    {
-        if (context.window)
-            windower.anchor(t);
-    }
-
-    /** Sharded merge: replay one stitched interval. */
-    void
-    absorbInterval(unsigned stream, std::uint16_t sid,
-                   sim::Tick begin, sim::Tick end)
-    {
-        addInterval(stream, sid, begin, end);
-    }
-
-  private:
-    void
-    addWindowRow(Table &table, std::int64_t k, unsigned stream,
-                 sim::Tick covered)
-    {
-        table.addRow(
-            {Value::number(sim::toMilliseconds(windower.startOf(k))),
-             Value::str(context.dict->streamName(stream)),
-             Value::str(state),
-             Value::number(static_cast<double>(covered) /
-                           static_cast<double>(windower.spec.size))});
-    }
-
-    void
-    addInterval(unsigned stream, std::uint16_t sid, sim::Tick begin,
-                sim::Tick end)
-    {
-        streams.insert(stream);
-        // An unknown target state compiles to noState, which no
-        // tracked interval carries — zero utilization rows, exactly
-        // like the string comparison this replaces.
-        if (sid != targetSid)
-            return;
-        if (!context.window) {
-            const sim::Tick lo = context.hasFrom
-                                     ? std::max(begin, context.from)
-                                     : begin;
-            const sim::Tick hi =
-                context.hasTo ? std::min(end, context.to) : end;
-            if (hi > lo)
-                overlap[{0, stream}] += hi - lo;
-            return;
-        }
-        const sim::Tick b = std::max(begin, windower.origin);
-        if (end <= b)
-            return;
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        if (!windower.indicesOf(b, lo, hi))
-            return;
-        const std::int64_t lastTouched =
-            windower.lastIndexBefore(end);
-        for (std::int64_t k = lo; k <= lastTouched; ++k) {
-            const sim::Tick wlo = windower.startOf(k);
-            const sim::Tick whi = wlo + windower.spec.size;
-            const sim::Tick a = std::max(begin, wlo);
-            const sim::Tick z = std::min(end, whi);
-            if (z > a)
-                overlap[{k, stream}] += z - a;
-        }
-    }
-
-    FoldContext context;
-    std::string state;
-    std::shared_ptr<const StateTable> table;
-    std::uint16_t targetSid;
-    StateTracker tracker;
-    Windower windower;
-    std::set<unsigned> streams;
-    std::map<std::pair<std::int64_t, unsigned>, sim::Tick> overlap;
-};
-
-// --------------------------------------------------------------- latency
-
-class LatencyFold : public Fold
-{
-  public:
-    LatencyFold(const FoldSpec &spec, const FoldContext &ctx)
-        : context(ctx), bins(spec.bins), histMax(spec.histMax)
-    {
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        auto it = lastSeen.find(ev.stream);
-        if (it != lastSeen.end()) {
-            pushGap(ev.stream, ev.timestamp - it->second);
-            it->second = ev.timestamp;
-        } else {
-            lastSeen[ev.stream] = ev.timestamp;
-        }
-    }
-
-    /** One inter-event gap; also the sharded-merge replay entry
-     *  point (gaps are exact tick differences, so replaying them in
-     *  serial order reproduces the serial doubles bit for bit). */
-    void
-    pushGap(unsigned stream, sim::Tick gapTicks)
-    {
-        const double gap = static_cast<double>(gapTicks);
-        stats[stream].push(gap);
-        if (bins) {
-            auto h = hists.find(stream);
-            if (h == hists.end()) {
-                h = hists
-                        .emplace(stream,
-                                 sim::Histogram(
-                                     0.0,
-                                     static_cast<double>(histMax),
-                                     bins))
-                        .first;
-            }
-            h->second.push(gap);
-        }
-    }
-
-    Table
-    finish() override
-    {
-        Table table;
-        if (!bins) {
-            table.columns = {"stream", "pairs",  "mean_ms",
-                             "min_ms", "max_ms", "stddev_ms"};
-            for (const auto &kv : stats) {
-                const sim::SummaryStat &s = kv.second;
-                table.addRow(
-                    {Value::str(context.dict->streamName(kv.first)),
-                     Value::count(s.count()),
-                     Value::number(s.mean() * 1e-6),
-                     Value::number(s.min() * 1e-6),
-                     Value::number(s.max() * 1e-6),
-                     Value::number(s.stddev() * 1e-6)});
-            }
-            return table;
-        }
-        table.columns = {"stream", "bin", "lo_ms", "count"};
-        for (const auto &kv : hists) {
-            const std::string name =
-                context.dict->streamName(kv.first);
-            const sim::Histogram &h = kv.second;
-            for (std::size_t b = 0; b < h.bins(); ++b) {
-                table.addRow({Value::str(name),
-                              Value::str(std::to_string(b)),
-                              Value::number(h.binLower(b) * 1e-6),
-                              Value::count(h.binCount(b))});
-            }
-            table.addRow(
-                {Value::str(name), Value::str("overflow"),
-                 Value::number(sim::toMilliseconds(histMax)),
-                 Value::count(h.overflow())});
-        }
-        return table;
-    }
-
-  private:
-    FoldContext context;
-    std::size_t bins = 0;
-    sim::Tick histMax = 0;
-    std::map<unsigned, sim::Tick> lastSeen;
-    std::map<unsigned, sim::SummaryStat> stats;
-    std::map<unsigned, sim::Histogram> hists;
-};
-
-// ------------------------------------------------------------------- rtt
-
-class RttFold : public Fold
-{
-  public:
-    RttFold(const FoldSpec &spec, const FoldContext &ctx)
-    {
-        for (std::uint16_t t :
-             resolveTokenPattern(spec.beginPattern, *ctx.dict))
-            beginTokens.insert(t);
-        for (std::uint16_t t :
-             resolveTokenPattern(spec.endPattern, *ctx.dict))
-            endTokens.insert(t);
-    }
-
-    void
-    onEvent(const trace::TraceEvent &ev) override
-    {
-        if (beginTokens.count(ev.token)) {
-            // Key on the parameter (the job id in the ray tracer's
-            // protocol); the first begin wins.
-            if (!pending.emplace(ev.param, ev.timestamp).second)
-                ++duplicateBegins;
-        } else if (endTokens.count(ev.token)) {
-            auto it = pending.find(ev.param);
-            if (it == pending.end()) {
-                ++unmatchedEnds;
-                return;
-            }
-            stats.push(
-                static_cast<double>(ev.timestamp - it->second));
-            pending.erase(it);
-        }
-    }
-
-    Table
-    finish() override
-    {
-        Table table;
-        table.columns = {"pairs",   "unmatched_begin",
-                         "unmatched_end", "mean_ms", "min_ms",
-                         "max_ms",  "stddev_ms"};
-        table.addRow(
-            {Value::count(stats.count()),
-             Value::count(pending.size() + duplicateBegins),
-             Value::count(unmatchedEnds),
-             Value::number(stats.mean() * 1e-6),
-             Value::number(stats.min() * 1e-6),
-             Value::number(stats.max() * 1e-6),
-             Value::number(stats.stddev() * 1e-6)});
-        return table;
-    }
-
-  private:
-    std::set<std::uint16_t> beginTokens;
-    std::set<std::uint16_t> endTokens;
-    std::map<std::uint32_t, sim::Tick> pending;
-    sim::SummaryStat stats;
-    std::uint64_t duplicateBegins = 0;
-    std::uint64_t unmatchedEnds = 0;
-};
-
-// ======================================================= shard partials
-//
-// One class per fold kind, mirroring the serial folds above. Each
-// accumulates only what can be aggregated without global knowledge;
-// mergeShardFolds() stitches the partials in shard order so the
-// result is bit-exact with the serial fold (see folds.hh).
+// ========================================================= shard folds
 
 /** Minimal accepted-event tuple for origin-dependent replay. */
 struct MiniEvent
@@ -763,18 +191,15 @@ class CountTable
         ++vals[i];
     }
 
-    /** (key, count) pairs sorted by key (= stream-major order). */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    sortedEntries() const
+    /** Visit every (key, count) pair, in no particular order. */
+    template <typename F>
+    void
+    forEach(F &&f) const
     {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-        out.reserve(used);
         for (std::size_t i = 0; i < capacity; ++i) {
             if (keys[i] != emptyKey)
-                out.emplace_back(keys[i], vals[i]);
+                f(keys[i], vals[i]);
         }
-        std::sort(out.begin(), out.end());
-        return out;
     }
 
   private:
@@ -882,16 +307,16 @@ class CountShard : public ShardFold
 
     bool windowed;
     CountTable counts;
+    /** Windowed: accepted events since the last drain. */
     std::vector<MiniEvent> buffer;
 };
 
 /**
- * Shared by `states` and `utilization`: runs the same open-state
- * machine as StateTracker over the shard's slice, but keeps the
+ * Shared by `states` and `utilization`: the open-state machine of
+ * trace::ActivityMap::build() over the shard's slice, with the
  * boundary state explicit — closed intervals in emission order, the
  * first Begin per stream (which closes the *previous* shard's open
- * state at merge time), and the still-open state per stream at the
- * shard's end.
+ * state at merge time), and the still-open state per stream.
  */
 class StateShard : public ShardFold
 {
@@ -904,7 +329,7 @@ class StateShard : public ShardFold
     void
     onEvent(const trace::TraceEvent &ev) override
     {
-        consume(ev);
+        onBatch(&ev, 1);
     }
 
     void
@@ -960,11 +385,10 @@ class StateShard : public ShardFold
 
     /**
      * Closed interval of the shard's slice: 16 POD bytes in an
-     * arena, not a string-keyed map entry. The merge replays the
-     * arena (one streaming pass) into the final accumulator, so its
-     * byte size is merge-stage memory traffic — hence the packed
-     * duration with a rare wide-record escape instead of two full
-     * ticks.
+     * arena, not a string-keyed map entry. The merger replays the
+     * arena (one streaming pass) into its accumulator, so its byte
+     * size is merge-stage memory traffic — hence the packed duration
+     * with a rare wide-record escape instead of two full ticks.
      */
     struct Interval
     {
@@ -983,67 +407,35 @@ class StateShard : public ShardFold
         std::uint32_t stream;
     };
 
-    /** Boundary state of one stream at the slice's edges. */
-    struct OpenSlot
+    /** A stream's first accepted Begin in this shard. */
+    struct FirstBegin
     {
-        sim::Tick since = 0;
-        /** The first accepted Begin (closes the previous shard's
-         *  open state at merge time). */
-        sim::Tick firstBegin = 0;
-        std::uint16_t sid = 0;
-        bool isOpen = false;
-        bool hasFirstBegin = false;
+        unsigned stream;
+        sim::Tick at;
     };
-
-    /** Visit (stream, firstBegin) pairs, streams ascending. */
-    template <typename F>
-    void
-    forEachFirstBegin(F &&f) const
-    {
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            if (flat[s].hasFirstBegin)
-                f(s, flat[s].firstBegin);
-        }
-        for (const auto &kv : overflow) {
-            if (kv.second.hasFirstBegin)
-                f(kv.first, kv.second.firstBegin);
-        }
-    }
 
     /** Visit still-open (stream, sid, since), streams ascending. */
     template <typename F>
     void
     forEachOpen(F &&f) const
     {
-        for (unsigned s = 0; s < flat.size(); ++s) {
-            if (flat[s].isOpen)
-                f(s, flat[s].sid, flat[s].since);
-        }
-        for (const auto &kv : overflow) {
-            if (kv.second.isOpen)
-                f(kv.first, kv.second.sid, kv.second.since);
-        }
+        open.forEach([&f](unsigned stream, const OpenSlot &slot) {
+            if (slot.isOpen)
+                f(stream, slot.sid, slot.since);
+        });
     }
 
     std::shared_ptr<const StateTable> table;
+    /** Closed intervals since the last drain, in emission order. */
     std::vector<Interval> intervals;
     std::vector<WideInterval> wide;
+    /** First Begins since the last drain, in event order. */
+    std::vector<FirstBegin> firstBegins;
     bool sawEvent = false;
     sim::Tick firstTs = 0;
     sim::Tick lastTs = 0;
 
   private:
-    void
-    consume(const trace::TraceEvent &ev)
-    {
-        if (!sawEvent) {
-            sawEvent = true;
-            firstTs = ev.timestamp;
-        }
-        lastTs = ev.timestamp;
-        track(ev, table->tokenState.data());
-    }
-
     /** The per-event state machine with the token table hoisted out
      *  (the batch loop loads it once, not per event). */
     void
@@ -1053,12 +445,11 @@ class StateShard : public ShardFold
         const std::uint16_t sid = token_state[ev.token];
         if (sid == StateTable::noState)
             return;
-        OpenSlot &cur = slot(ev.stream);
+        OpenSlot &cur = open[ev.stream];
         if (!cur.isOpen) {
-            // isOpen never resets, so this records the genuinely
-            // first accepted Begin of the stream.
-            cur.hasFirstBegin = true;
-            cur.firstBegin = ev.timestamp;
+            // isOpen never resets, so this is the genuinely first
+            // accepted Begin of the stream.
+            firstBegins.push_back({ev.stream, ev.timestamp});
         } else if (ev.timestamp > cur.since) {
             pushInterval(ev.stream, cur.sid, cur.since,
                          ev.timestamp);
@@ -1083,20 +474,15 @@ class StateShard : public ShardFold
         wide.push_back({e, stream});
     }
 
-    OpenSlot &
-    slot(unsigned stream)
+    /** Boundary state of one stream. */
+    struct OpenSlot
     {
-        if (stream >= flatStreamLimit)
-            return overflow[stream];
-        if (stream >= flat.size())
-            flat.resize(std::min<std::size_t>(
-                std::max<std::size_t>(stream + 1, flat.size() * 2),
-                flatStreamLimit));
-        return flat[stream];
-    }
+        sim::Tick since = 0;
+        std::uint16_t sid = 0;
+        bool isOpen = false;
+    };
 
-    std::vector<OpenSlot> flat;
-    std::map<unsigned, OpenSlot> overflow;
+    StreamSlots<OpenSlot> open;
 };
 
 class LatencyShard : public ShardFold
@@ -1105,27 +491,33 @@ class LatencyShard : public ShardFold
     void
     onEvent(const trace::TraceEvent &ev) override
     {
-        auto it = streams.find(ev.stream);
-        if (it == streams.end()) {
-            streams.emplace(
-                ev.stream,
-                PerStream{ev.timestamp, ev.timestamp, {}});
-        } else {
-            it->second.gaps.push_back(ev.timestamp -
-                                      it->second.last);
-            it->second.last = ev.timestamp;
-        }
+        Last &last = lastSeen[ev.stream];
+        steps.push_back({last.seen ? ev.timestamp - last.at
+                                   : ev.timestamp,
+                         ev.stream, !last.seen});
+        last = {ev.timestamp, true};
     }
 
-    struct PerStream
+    /** One event: the exact tick gap since its stream's previous
+     *  event or, for the stream's first event in the shard
+     *  (`first`), its timestamp. */
+    struct Step
     {
-        sim::Tick first;
-        sim::Tick last;
-        /** Exact tick gaps, in event order. */
-        std::vector<sim::Tick> gaps;
+        sim::Tick ticks;
+        unsigned stream;
+        bool first;
     };
 
-    std::map<unsigned, PerStream> streams;
+    /** A stream's last timestamp so far. */
+    struct Last
+    {
+        sim::Tick at = 0;
+        bool seen = false;
+    };
+
+    /** Steps since the last drain, in event order. */
+    std::vector<Step> steps;
+    StreamSlots<Last> lastSeen;
 };
 
 class RttShard : public ShardFold
@@ -1161,125 +553,260 @@ class RttShard : public ShardFold
     };
 
     std::set<std::uint16_t> relevant;
+    /** Relevant events since the last drain. */
     std::vector<MiniRtt> buffer;
 };
 
-/**
- * Stitch the state-machine shards: close a carried open state at the
- * next shard's first Begin of that stream, replay each shard's
- * closed intervals, and close what is still open at the end-of-trace
- * time — emitting every interval through @p emit in an order whose
- * per-(stream, state) projection equals the serial emission order
- * (which is all that matters: statistics are keyed per
- * (stream, state), and integer overlap sums are order-free).
- */
-template <typename Emit>
-void
-stitchStateShards(
-    const std::vector<std::unique_ptr<ShardFold>> &shards,
-    sim::Tick trace_end, bool &any, sim::Tick &firstTs,
-    sim::Tick &lastTs, Emit &&emit)
+// ============================================================= mergers
+//
+// One merger per fold kind, holding the kind's accumulator. Shards
+// and mergers come from matching factories for the same spec, so the
+// downcasts below are exact.
+
+class CountMerger : public FoldMerger
 {
-    any = false;
-    firstTs = 0;
-    lastTs = 0;
-    for (const auto &p : shards) {
-        const auto *s = static_cast<const StateShard *>(p.get());
-        if (!s || !s->sawEvent)
-            continue;
-        if (!any) {
-            any = true;
-            firstTs = s->firstTs;
+  public:
+    explicit CountMerger(const FoldContext &ctx) : context(ctx)
+    {
+        if (context.window) {
+            windower.spec = *context.window;
+            if (context.hasFrom)
+                windower.anchor(context.from);
         }
-        lastTs = s->lastTs;
     }
 
+    void
+    drain(ShardFold &head) override
+    {
+        auto &s = static_cast<CountShard &>(head);
+        for (const MiniEvent &m : s.buffer)
+            add(m);
+        s.buffer.clear();
+    }
+
+    void
+    absorb(ShardFold &head) override
+    {
+        drain(head);
+        static_cast<CountShard &>(head).counts.forEach(
+            [this](std::uint64_t key, std::uint64_t n) {
+                counts[{0, static_cast<unsigned>(key >> 16),
+                        static_cast<std::uint16_t>(key & 0xffff)}] += n;
+            });
+    }
+
+    Table
+    finish() override
+    {
+        Table table;
+        table.columns = columns();
+        for (auto it = counts.begin(); it != counts.end(); ++it)
+            addRow(table, it);
+        return table;
+    }
+
+    bool
+    previewsWindows() const override
+    {
+        return fixedWindows(context);
+    }
+
+    void
+    previewWindows(sim::Tick now, const ShardFold &head,
+                   const RowSink &sink) override
+    {
+        (void)head;
+        const std::int64_t ended = windower.endedBy(now);
+        while (nextWindow < ended) {
+            // Jump straight to the next window that holds counts.
+            auto it = counts.lower_bound({nextWindow, 0, 0});
+            if (it == counts.end() || std::get<0>(it->first) >= ended) {
+                nextWindow = ended;
+                return;
+            }
+            const std::int64_t k = std::get<0>(it->first);
+            Table rows;
+            rows.columns = columns();
+            for (; it != counts.end() && std::get<0>(it->first) == k;
+                 ++it)
+                addRow(rows, it);
+            sink(rows);
+            nextWindow = k + 1;
+        }
+    }
+
+  private:
+    using Key = std::tuple<std::int64_t, unsigned, std::uint16_t>;
+
+    void
+    add(const MiniEvent &m)
+    {
+        windower.anchor(m.ts);
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        if (!windower.indicesOf(m.ts, lo, hi))
+            return;
+        for (std::int64_t k = lo; k <= hi; ++k)
+            ++counts[{k, m.stream, m.token}];
+    }
+
+    std::vector<std::string>
+    columns() const
+    {
+        std::vector<std::string> out;
+        if (context.window)
+            out.push_back("window_ms");
+        out.insert(out.end(), {"stream", "event", "count"});
+        return out;
+    }
+
+    void
+    addRow(Table &table,
+           std::map<Key, std::uint64_t>::const_iterator it) const
+    {
+        const auto &[window, stream, token] = it->first;
+        std::vector<Value> row;
+        if (context.window) {
+            row.push_back(Value::number(
+                sim::toMilliseconds(windower.startOf(window))));
+        }
+        row.push_back(Value::str(context.dict->streamName(stream)));
+        row.push_back(Value::str(tokenName(*context.dict, token)));
+        row.push_back(Value::count(it->second));
+        table.addRow(std::move(row));
+    }
+
+    FoldContext context;
+    Windower windower;
+    std::map<Key, std::uint64_t> counts;
+    /** Live preview: first window not yet previewed. */
+    std::int64_t nextWindow = 0;
+};
+
+/**
+ * The order rule of the state-based mergers. Replays the head shard's
+ * closed intervals through an emit callback; a state still open at a
+ * shard's end is carried and closes at the next shard's first Begin
+ * of its stream, before that shard's intervals replay. That keeps
+ * every per-(stream, state) push in serial order, which is all that
+ * matters: statistics are keyed per (stream, state), and integer
+ * overlap sums are order-free. Also tracks the global first and last
+ * accepted event, which fix the evaluation range and window origin.
+ */
+class StateStitch
+{
+  public:
+    template <typename Emit>
+    void
+    drain(StateShard &s, Emit &&emit)
+    {
+        if (s.sawEvent) {
+            if (!any) {
+                any = true;
+                firstTs = s.firstTs;
+            }
+            lastTs = s.lastTs;
+        }
+        for (const StateShard::FirstBegin &fb : s.firstBegins) {
+            auto it = carry.find(fb.stream);
+            if (it == carry.end())
+                continue;
+            if (fb.at > it->second.since)
+                emit(fb.stream, it->second.sid, it->second.since, fb.at);
+            carry.erase(it);
+        }
+        s.firstBegins.clear();
+        // Streaming replay of the arena; wide records (rare) are
+        // consumed in step with their sentinel entries.
+        std::size_t w = 0;
+        for (const auto &iv : s.intervals) {
+            if (iv.dur != StateShard::wideDur) {
+                emit(iv.stream, iv.sid, iv.begin, iv.begin + iv.dur);
+            } else {
+                const StateShard::WideInterval &wd = s.wide[w++];
+                emit(wd.stream, iv.sid, iv.begin, wd.end);
+            }
+        }
+        s.intervals.clear();
+        s.wide.clear();
+    }
+
+    void
+    carryOpen(const StateShard &s)
+    {
+        s.forEachOpen(
+            [this](unsigned stream, std::uint16_t sid, sim::Tick since) {
+                carry[stream] = Carry{since, sid};
+            });
+    }
+
+    /** End of trace: close what is still carried at max(trace_end,
+     *  last event), in ascending stream order; returns that time. */
+    template <typename Emit>
+    sim::Tick
+    close(sim::Tick trace_end, Emit &&emit)
+    {
+        const sim::Tick endTs =
+            trace_end ? std::max(trace_end, lastTs) : lastTs;
+        for (const auto &kv : carry) {
+            if (endTs > kv.second.since)
+                emit(kv.first, kv.second.sid, kv.second.since, endTs);
+        }
+        carry.clear();
+        return endTs;
+    }
+
+    bool any = false;
+    sim::Tick firstTs = 0;
+    sim::Tick lastTs = 0;
+
+  private:
     struct Carry
     {
         sim::Tick since;
         std::uint16_t sid;
     };
     std::map<unsigned, Carry> carry;
-    for (const auto &p : shards) {
-        const auto *s = static_cast<const StateShard *>(p.get());
-        if (!s)
-            continue;
-        s->forEachFirstBegin(
-            [&carry, &emit](unsigned stream, sim::Tick first) {
-                auto it = carry.find(stream);
-                if (it == carry.end())
-                    return;
-                if (first > it->second.since)
-                    emit(stream, it->second.sid, it->second.since,
-                         first);
-                carry.erase(it);
-            });
-        // Streaming replay of the arena; wide records (rare) are
-        // consumed in step with their sentinel entries.
-        std::size_t w = 0;
-        for (const auto &iv : s->intervals) {
-            if (iv.dur != StateShard::wideDur) {
-                emit(iv.stream, iv.sid, iv.begin,
-                     iv.begin + iv.dur);
-            } else {
-                const StateShard::WideInterval &wd = s->wide[w++];
-                emit(wd.stream, iv.sid, iv.begin, wd.end);
-            }
-        }
-        s->forEachOpen([&carry](unsigned stream, std::uint16_t sid,
-                                sim::Tick since) {
-            carry[stream] = Carry{since, sid};
-        });
-    }
-    if (!any)
-        return;
-    const sim::Tick endTs =
-        trace_end ? std::max(trace_end, lastTs) : lastTs;
-    for (const auto &kv : carry) {
-        if (endTs > kv.second.since)
-            emit(kv.first, kv.second.sid, kv.second.since, endTs);
-    }
-}
+};
 
 /**
- * Flat per-(stream, state) accumulator for the `states` merge: one
- * multiply-indexed array slot per key instead of StatesFold's
- * ordered-map lookup, so replaying the stitched interval stream
- * costs a few loads per interval. The accumulation itself is the
- * same SummaryStat::push / clamped-overlap sequence in the same
- * per-key order as the serial fold, and finish() renders rows in the
- * same order (streams ascending, states in id = statesInOrder()
- * order), so the resulting table is bit-identical.
+ * The `states` merger: a flat `streams x states` array of
+ * accumulators (one multiply-indexed slot per key, map overflow past
+ * the flat limit), fed the stitched interval stream in serial
+ * per-key order. Rows come out streams ascending, states in id =
+ * statesInOrder() order.
  */
-class StateAccumulator
+class StatesMerger : public FoldMerger
 {
   public:
-    StateAccumulator(const FoldContext &ctx,
-                     std::shared_ptr<const StateTable> state_table)
-        : context(&ctx), table(std::move(state_table)),
+    explicit StatesMerger(const FoldContext &ctx)
+        : context(ctx), table(stateTableFor(ctx)),
           nStates(table->states.size())
     {
     }
 
     void
-    add(unsigned stream, std::uint16_t sid, sim::Tick begin,
-        sim::Tick end)
+    drain(ShardFold &head) override
     {
-        Slot &slot = slotFor(stream, sid);
-        slot.stat.push(static_cast<double>(end - begin));
-        const sim::Tick lo = context->hasFrom
-                                 ? std::max(begin, context->from)
-                                 : begin;
-        const sim::Tick hi =
-            context->hasTo ? std::min(end, context->to) : end;
-        if (hi > lo)
-            slot.covered += hi - lo;
+        stitch.drain(static_cast<StateShard &>(head),
+                     [this](auto... iv) { add(iv...); });
     }
 
-    /** Render the rows exactly like StatesFold::finish(). */
-    Table
-    finish(sim::Tick t0, sim::Tick t1) const
+    void
+    absorb(ShardFold &head) override
     {
+        drain(head);
+        stitch.carryOpen(static_cast<StateShard &>(head));
+    }
+
+    Table
+    finish() override
+    {
+        const sim::Tick endTs = stitch.close(
+            context.traceEnd, [this](auto... iv) { add(iv...); });
+        const sim::Tick t0 =
+            context.hasFrom ? context.from : stitch.firstTs;
+        const sim::Tick t1 = context.hasTo ? context.to : endTs;
         Table out;
         out.columns = {"stream",  "state",  "count",
                        "total_ms", "mean_ms", "min_ms",
@@ -1306,6 +833,21 @@ class StateAccumulator
         sim::SummaryStat stat;
         sim::Tick covered = 0;
     };
+
+    void
+    add(unsigned stream, std::uint16_t sid, sim::Tick begin,
+        sim::Tick end)
+    {
+        Slot &slot = slotFor(stream, sid);
+        slot.stat.push(static_cast<double>(end - begin));
+        // Overlap with the evaluation range, clamped per interval.
+        const sim::Tick lo =
+            context.hasFrom ? std::max(begin, context.from) : begin;
+        const sim::Tick hi =
+            context.hasTo ? std::min(end, context.to) : end;
+        if (hi > lo)
+            slot.covered += hi - lo;
+    }
 
     Slot &
     slotFor(unsigned stream, std::uint16_t sid)
@@ -1335,7 +877,7 @@ class StateAccumulator
             t1 > t0 ? static_cast<double>(slot.covered) /
                           static_cast<double>(t1 - t0)
                     : 0.0;
-        out.addRow({Value::str(context->dict->streamName(stream)),
+        out.addRow({Value::str(context.dict->streamName(stream)),
                     Value::str(table->states[sid]),
                     Value::count(slot.stat.count()),
                     Value::number(slot.stat.sum() * 1e-6),
@@ -1345,11 +887,421 @@ class StateAccumulator
                     Value::number(share)});
     }
 
-    const FoldContext *context;
+    FoldContext context;
     std::shared_ptr<const StateTable> table;
     std::size_t nStates;
+    StateStitch stitch;
     std::vector<Slot> flat;
     std::map<std::uint64_t, Slot> overflow;
+};
+
+class UtilizationMerger : public FoldMerger
+{
+  public:
+    UtilizationMerger(const FoldSpec &spec, const FoldContext &ctx)
+        : context(ctx), state(spec.state),
+          targetSid(stateTableFor(ctx)->idOf(state))
+    {
+        if (context.window) {
+            windower.spec = *context.window;
+            if (context.hasFrom)
+                windower.anchor(context.from);
+        }
+    }
+
+    void
+    drain(ShardFold &head) override
+    {
+        auto &s = static_cast<StateShard &>(head);
+        // The window origin is the first accepted event (unless the
+        // constructor anchored it at `from`): set it before any
+        // interval replays. Shards drain in order, so the first one
+        // with events anchors.
+        if (context.window && s.sawEvent)
+            windower.anchor(s.firstTs);
+        stitch.drain(s, [this](auto... iv) { add(iv...); });
+    }
+
+    void
+    absorb(ShardFold &head) override
+    {
+        drain(head);
+        stitch.carryOpen(static_cast<StateShard &>(head));
+    }
+
+    Table
+    finish() override
+    {
+        const sim::Tick endTs = stitch.close(
+            context.traceEnd, [this](auto... iv) { add(iv...); });
+        const sim::Tick t0 =
+            context.hasFrom ? context.from : stitch.firstTs;
+        const sim::Tick t1 = context.hasTo ? context.to : endTs;
+
+        Table table;
+        if (!context.window) {
+            table.columns = {"stream", "state", "utilization"};
+            for (unsigned stream : streams) {
+                sim::Tick covered = 0;
+                if (auto it = overlap.find({0, stream});
+                    it != overlap.end())
+                    covered = it->second;
+                const double u =
+                    t1 > t0 ? static_cast<double>(covered) /
+                                  static_cast<double>(t1 - t0)
+                            : 0.0;
+                table.addRow(
+                    {Value::str(context.dict->streamName(stream)),
+                     Value::str(state), Value::number(u)});
+            }
+            return table;
+        }
+
+        table.columns = columns();
+        const std::int64_t last = windower.lastIndexBefore(t1);
+        // Dense rows (a value for every window) unless that would
+        // explode; tiny windows over a long trace fall back to the
+        // windows that actually saw the state.
+        const bool dense =
+            last >= 0 &&
+            (last + 1) * static_cast<std::int64_t>(
+                             std::max<std::size_t>(streams.size(), 1)) <=
+                200000;
+        if (dense) {
+            for (std::int64_t k = 0; k <= last; ++k) {
+                for (unsigned stream : streams) {
+                    sim::Tick covered = 0;
+                    if (auto it = overlap.find({k, stream});
+                        it != overlap.end())
+                        covered = it->second;
+                    addWindowRow(table, k, stream, covered);
+                }
+            }
+        } else {
+            for (const auto &kv : overlap)
+                addWindowRow(table, kv.first.first, kv.first.second,
+                             kv.second);
+        }
+        return table;
+    }
+
+    bool
+    previewsWindows() const override
+    {
+        return fixedWindows(context);
+    }
+
+    void
+    previewWindows(sim::Tick now, const ShardFold &head,
+                   const RowSink &sink) override
+    {
+        const std::int64_t ended = windower.endedBy(now);
+        if (nextWindow >= ended)
+            return;
+        // The target states still open, streams ascending, and the
+        // first window any of them covers: from there on, every
+        // window up to `now` has a row.
+        std::vector<std::pair<unsigned, sim::Tick>> open;
+        std::int64_t firstOpen = std::numeric_limits<std::int64_t>::max();
+        static_cast<const StateShard &>(head).forEachOpen(
+            [&](unsigned stream, std::uint16_t sid, sim::Tick since) {
+                if (sid != targetSid)
+                    return;
+                open.emplace_back(stream, since);
+                std::int64_t lo = 0;
+                std::int64_t hi = 0;
+                firstOpen = std::min(
+                    firstOpen, windower.indicesOf(since, lo, hi) ? hi : 0);
+            });
+        while (nextWindow < ended) {
+            // The next window with rows; empty ones are skipped.
+            auto it = overlap.lower_bound({nextWindow, 0});
+            const std::int64_t k = std::min(
+                std::max(firstOpen, nextWindow),
+                it == overlap.end() ? std::numeric_limits<std::int64_t>::max()
+                                    : it->first.first);
+            if (k >= ended) {
+                nextWindow = ended;
+                return;
+            }
+            // Merge the closed overlap of window k with the open
+            // states' credit up to its end, streams ascending.
+            const sim::Tick wlo = windower.startOf(k);
+            const sim::Tick whi = wlo + windower.spec.size;
+            Table rows;
+            rows.columns = columns();
+            std::size_t i = 0;
+            for (;;) {
+                while (i < open.size() && open[i].second >= whi)
+                    ++i;
+                const bool closed =
+                    it != overlap.end() && it->first.first == k;
+                if (!closed && i == open.size())
+                    break;
+                const unsigned stream =
+                    !closed ? open[i].first
+                    : i == open.size()
+                        ? it->first.second
+                        : std::min(it->first.second, open[i].first);
+                sim::Tick covered = 0;
+                if (closed && it->first.second == stream)
+                    covered += (it++)->second;
+                if (i < open.size() && open[i].first == stream)
+                    covered += whi - std::max(open[i++].second, wlo);
+                addWindowRow(rows, k, stream, covered);
+            }
+            sink(rows);
+            nextWindow = k + 1;
+        }
+    }
+
+  private:
+    static std::vector<std::string>
+    columns()
+    {
+        return {"window_ms", "stream", "state", "utilization"};
+    }
+
+    void
+    addWindowRow(Table &table, std::int64_t k, unsigned stream,
+                 sim::Tick covered) const
+    {
+        table.addRow(
+            {Value::number(sim::toMilliseconds(windower.startOf(k))),
+             Value::str(context.dict->streamName(stream)),
+             Value::str(state),
+             Value::number(static_cast<double>(covered) /
+                           static_cast<double>(windower.spec.size))});
+    }
+
+    void
+    add(unsigned stream, std::uint16_t sid, sim::Tick begin,
+        sim::Tick end)
+    {
+        streams.insert(stream);
+        // An unknown target state compiles to noState, which no
+        // interval carries: zero utilization rows.
+        if (sid != targetSid)
+            return;
+        if (!context.window) {
+            const sim::Tick lo = context.hasFrom
+                                     ? std::max(begin, context.from)
+                                     : begin;
+            const sim::Tick hi =
+                context.hasTo ? std::min(end, context.to) : end;
+            if (hi > lo)
+                overlap[{0, stream}] += hi - lo;
+            return;
+        }
+        const sim::Tick b = std::max(begin, windower.origin);
+        if (end <= b)
+            return;
+        std::int64_t lo = 0;
+        std::int64_t hi = 0;
+        if (!windower.indicesOf(b, lo, hi))
+            return;
+        const std::int64_t lastTouched =
+            windower.lastIndexBefore(end);
+        for (std::int64_t k = lo; k <= lastTouched; ++k) {
+            const sim::Tick wlo = windower.startOf(k);
+            const sim::Tick whi = wlo + windower.spec.size;
+            const sim::Tick a = std::max(begin, wlo);
+            const sim::Tick z = std::min(end, whi);
+            if (z > a)
+                overlap[{k, stream}] += z - a;
+        }
+    }
+
+    FoldContext context;
+    std::string state;
+    std::uint16_t targetSid;
+    StateStitch stitch;
+    Windower windower;
+    std::set<unsigned> streams;
+    std::map<std::pair<std::int64_t, unsigned>, sim::Tick> overlap;
+    /** Live preview: first window not yet previewed. */
+    std::int64_t nextWindow = 0;
+};
+
+class LatencyMerger : public FoldMerger
+{
+  public:
+    LatencyMerger(const FoldSpec &spec, const FoldContext &ctx)
+        : context(ctx), bins(spec.bins), histMax(spec.histMax)
+    {
+    }
+
+    void
+    drain(ShardFold &head) override
+    {
+        auto &s = static_cast<LatencyShard &>(head);
+        for (const LatencyShard::Step &step : s.steps) {
+            if (!step.first) {
+                push(step.stream, step.ticks);
+                continue;
+            }
+            // The gap across a shard edge: from the stream's last
+            // event in an earlier shard, if any.
+            if (auto it = carryLast.find(step.stream);
+                it != carryLast.end())
+                push(step.stream, step.ticks - it->second);
+        }
+        s.steps.clear();
+    }
+
+    void
+    absorb(ShardFold &head) override
+    {
+        drain(head);
+        static_cast<LatencyShard &>(head).lastSeen.forEach(
+            [this](unsigned stream, const LatencyShard::Last &last) {
+                if (last.seen)
+                    carryLast[stream] = last.at;
+            });
+    }
+
+    Table
+    finish() override
+    {
+        Table table;
+        if (!bins) {
+            table.columns = {"stream", "pairs",  "mean_ms",
+                             "min_ms", "max_ms", "stddev_ms"};
+        } else {
+            table.columns = {"stream", "bin", "lo_ms", "count"};
+        }
+        gaps.forEach([&](unsigned stream, const Gaps &g) {
+            const sim::SummaryStat &s = g.stat;
+            if (s.count() == 0)
+                return;
+            const std::string name = context.dict->streamName(stream);
+            if (!bins) {
+                table.addRow({Value::str(name), Value::count(s.count()),
+                              Value::number(s.mean() * 1e-6),
+                              Value::number(s.min() * 1e-6),
+                              Value::number(s.max() * 1e-6),
+                              Value::number(s.stddev() * 1e-6)});
+                return;
+            }
+            const sim::Histogram &h = *g.hist;
+            for (std::size_t b = 0; b < h.bins(); ++b) {
+                table.addRow({Value::str(name),
+                              Value::str(std::to_string(b)),
+                              Value::number(h.binLower(b) * 1e-6),
+                              Value::count(h.binCount(b))});
+            }
+            table.addRow(
+                {Value::str(name), Value::str("overflow"),
+                 Value::number(sim::toMilliseconds(histMax)),
+                 Value::count(h.overflow())});
+        });
+        return table;
+    }
+
+  private:
+    /** One inter-event gap (an exact tick difference, so the serial
+     *  replay order reproduces the serial doubles bit for bit). */
+    void
+    push(unsigned stream, sim::Tick gapTicks)
+    {
+        const double gap = static_cast<double>(gapTicks);
+        Gaps &g = gaps[stream];
+        g.stat.push(gap);
+        if (bins) {
+            if (!g.hist)
+                g.hist.emplace(0.0, static_cast<double>(histMax), bins);
+            g.hist->push(gap);
+        }
+    }
+
+    /** One stream's gaps; the histogram exists once a gap arrives
+     *  and bins are asked for. */
+    struct Gaps
+    {
+        sim::SummaryStat stat;
+        std::optional<sim::Histogram> hist;
+    };
+
+    FoldContext context;
+    std::size_t bins = 0;
+    sim::Tick histMax = 0;
+    /** Each stream's last timestamp in the shards absorbed so far. */
+    std::map<unsigned, sim::Tick> carryLast;
+    StreamSlots<Gaps> gaps;
+};
+
+class RttMerger : public FoldMerger
+{
+  public:
+    RttMerger(const FoldSpec &spec, const FoldContext &ctx)
+    {
+        for (std::uint16_t t :
+             resolveTokenPattern(spec.beginPattern, *ctx.dict))
+            beginTokens.insert(t);
+        for (std::uint16_t t :
+             resolveTokenPattern(spec.endPattern, *ctx.dict))
+            endTokens.insert(t);
+    }
+
+    void
+    drain(ShardFold &head) override
+    {
+        auto &s = static_cast<RttShard &>(head);
+        for (const RttShard::MiniRtt &m : s.buffer)
+            add(m);
+        s.buffer.clear();
+    }
+
+    void
+    absorb(ShardFold &head) override
+    {
+        drain(head);
+    }
+
+    Table
+    finish() override
+    {
+        Table table;
+        table.columns = {"pairs",   "unmatched_begin",
+                         "unmatched_end", "mean_ms", "min_ms",
+                         "max_ms",  "stddev_ms"};
+        table.addRow(
+            {Value::count(stats.count()),
+             Value::count(pending.size() + duplicateBegins),
+             Value::count(unmatchedEnds),
+             Value::number(stats.mean() * 1e-6),
+             Value::number(stats.min() * 1e-6),
+             Value::number(stats.max() * 1e-6),
+             Value::number(stats.stddev() * 1e-6)});
+        return table;
+    }
+
+  private:
+    void
+    add(const RttShard::MiniRtt &m)
+    {
+        if (beginTokens.count(m.token)) {
+            // Key on the parameter (the job id in the ray tracer's
+            // protocol); the first begin wins.
+            if (!pending.emplace(m.param, m.ts).second)
+                ++duplicateBegins;
+        } else if (endTokens.count(m.token)) {
+            auto it = pending.find(m.param);
+            if (it == pending.end()) {
+                ++unmatchedEnds;
+                return;
+            }
+            stats.push(static_cast<double>(m.ts - it->second));
+            pending.erase(it);
+        }
+    }
+
+    std::set<std::uint16_t> beginTokens;
+    std::set<std::uint16_t> endTokens;
+    std::map<std::uint32_t, sim::Tick> pending;
+    sim::SummaryStat stats;
+    std::uint64_t duplicateBegins = 0;
+    std::uint64_t unmatchedEnds = 0;
 };
 
 } // namespace
@@ -1415,24 +1367,6 @@ resolveTokenPattern(const std::string &pattern,
     return tokens;
 }
 
-std::unique_ptr<Fold>
-makeFold(const FoldSpec &spec, const FoldContext &ctx)
-{
-    switch (spec.kind) {
-      case FoldKind::States:
-        return std::make_unique<StatesFold>(ctx);
-      case FoldKind::Utilization:
-        return std::make_unique<UtilizationFold>(spec, ctx);
-      case FoldKind::Latency:
-        return std::make_unique<LatencyFold>(spec, ctx);
-      case FoldKind::Rtt:
-        return std::make_unique<RttFold>(spec, ctx);
-      case FoldKind::Count:
-        break;
-    }
-    return std::make_unique<CountFold>(ctx);
-}
-
 void
 ShardFold::onRawBatch(const unsigned char *raw, std::size_t n)
 {
@@ -1463,120 +1397,22 @@ makeShardFold(const FoldSpec &spec, const FoldContext &ctx)
     return std::make_unique<CountShard>(ctx);
 }
 
-Table
-mergeShardFolds(const FoldSpec &spec, const FoldContext &ctx,
-                std::vector<std::unique_ptr<ShardFold>> &shards)
+std::unique_ptr<FoldMerger>
+makeFoldMerger(const FoldSpec &spec, const FoldContext &ctx)
 {
     switch (spec.kind) {
-      case FoldKind::Count: {
-          CountFold serial(ctx);
-          trace::TraceEvent ev;
-          for (const auto &p : shards) {
-              const auto *s = static_cast<const CountShard *>(p.get());
-              if (!s)
-                  continue;
-              // Sorted by packed key = (stream, token) ascending,
-              // the order the old ordered-map partial produced.
-              for (const auto &kv : s->counts.sortedEntries())
-                  serial.absorbCount(
-                      static_cast<unsigned>(kv.first >> 16),
-                      static_cast<std::uint16_t>(kv.first & 0xffff),
-                      kv.second);
-              for (const auto &m : s->buffer) {
-                  ev.timestamp = m.ts;
-                  ev.stream = m.stream;
-                  ev.token = m.token;
-                  serial.onEvent(ev);
-              }
-          }
-          return serial.finish();
-      }
-      case FoldKind::States: {
-          // Replay the stitched intervals into the flat accumulator
-          // instead of a full StatesFold: same per-key push order and
-          // row order (bit-exact result), but each interval is a
-          // multiply-indexed array slot instead of an ordered-map
-          // lookup — this is the merge stage the scaling target
-          // leans on.
-          bool any = false;
-          sim::Tick firstTs = 0;
-          sim::Tick lastTs = 0;
-          StateAccumulator acc(ctx, stateTableFor(ctx));
-          stitchStateShards(
-              shards, ctx.traceEnd, any, firstTs, lastTs,
-              [&acc](unsigned stream, std::uint16_t sid, sim::Tick b,
-                     sim::Tick e) { acc.add(stream, sid, b, e); });
-          // Same evaluation range a serial tracker would close with.
-          const sim::Tick endTs =
-              ctx.traceEnd ? std::max(ctx.traceEnd, lastTs) : lastTs;
-          const sim::Tick t0 = ctx.hasFrom ? ctx.from : firstTs;
-          const sim::Tick t1 = ctx.hasTo ? ctx.to : endTs;
-          return acc.finish(t0, t1);
-      }
-      case FoldKind::Utilization: {
-          UtilizationFold serial(spec, ctx);
-          // The window origin is the global first accepted event
-          // (or the explicit `from`, which the constructor already
-          // anchored) — set it before replaying any interval.
-          bool any = false;
-          sim::Tick firstTs = 0;
-          sim::Tick lastTs = 0;
-          for (const auto &p : shards) {
-              const auto *s =
-                  static_cast<const StateShard *>(p.get());
-              if (s && s->sawEvent) {
-                  serial.anchorOrigin(s->firstTs);
-                  break;
-              }
-          }
-          stitchStateShards(
-              shards, ctx.traceEnd, any, firstTs, lastTs,
-              [&serial](unsigned stream, std::uint16_t sid,
-                        sim::Tick b, sim::Tick e) {
-                  serial.absorbInterval(stream, sid, b, e);
-              });
-          serial.primeTracker(any, firstTs, lastTs);
-          return serial.finish();
-      }
-      case FoldKind::Latency: {
-          LatencyFold serial(spec, ctx);
-          std::map<unsigned, sim::Tick> carryLast;
-          for (const auto &p : shards) {
-              const auto *s =
-                  static_cast<const LatencyShard *>(p.get());
-              if (!s)
-                  continue;
-              for (const auto &kv : s->streams) {
-                  auto it = carryLast.find(kv.first);
-                  if (it != carryLast.end())
-                      serial.pushGap(kv.first,
-                                     kv.second.first - it->second);
-                  for (sim::Tick gap : kv.second.gaps)
-                      serial.pushGap(kv.first, gap);
-                  carryLast[kv.first] = kv.second.last;
-              }
-          }
-          return serial.finish();
-      }
-      case FoldKind::Rtt: {
-          RttFold serial(spec, ctx);
-          trace::TraceEvent ev;
-          for (const auto &p : shards) {
-              const auto *s = static_cast<const RttShard *>(p.get());
-              if (!s)
-                  continue;
-              for (const auto &m : s->buffer) {
-                  ev.timestamp = m.ts;
-                  ev.param = m.param;
-                  ev.token = m.token;
-                  serial.onEvent(ev);
-              }
-          }
-          return serial.finish();
-      }
+      case FoldKind::States:
+        return std::make_unique<StatesMerger>(ctx);
+      case FoldKind::Utilization:
+        return std::make_unique<UtilizationMerger>(spec, ctx);
+      case FoldKind::Latency:
+        return std::make_unique<LatencyMerger>(spec, ctx);
+      case FoldKind::Rtt:
+        return std::make_unique<RttMerger>(spec, ctx);
+      case FoldKind::Count:
+        break;
     }
-    // Unreachable: every FoldKind is handled above.
-    return Table();
+    return std::make_unique<CountMerger>(ctx);
 }
 
 } // namespace query

@@ -1,20 +1,29 @@
 /**
  * @file
- * Fold sinks of the streaming query pipeline: each consumes filtered
- * events one at a time with bounded memory and produces a result
- * Table at the end of the stream.
+ * The fold family of the query pipeline. Every query — over an
+ * in-memory trace, a file at any --jobs count, or a live stream —
+ * folds in two halves:
  *
- * The state-based folds (`states`, `utilization`) run the same
- * open-state machine as trace::ActivityMap::build(), so on identical
- * input they reproduce the batch evaluation's numbers exactly — the
- * cross-check tests assert bit-equality against
- * trace::ActivityMap results for the golden scenarios.
+ *  - shard folds (ShardFold) each consume one contiguous, already
+ *    filtered slice of the trace and keep only what they can
+ *    aggregate without seeing the rest, plus the boundary state that
+ *    lets the merge stitch shard edges;
+ *  - one ordered merger (FoldMerger) absorbs the shard partials in
+ *    trace order into its kind's accumulator and renders the table.
+ *    It can also drain the head shard while that shard still streams,
+ *    so the head holds only its boundary state.
+ *
+ * The state-based kinds (`states`, `utilization`) run the open-state
+ * machine of trace::ActivityMap::build() inside the shard fold and
+ * replay its intervals in serial per-(stream, state) order, so their
+ * doubles equal the batch evaluation's bit for bit.
  */
 
 #ifndef QUERY_FOLDS_HH
 #define QUERY_FOLDS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,55 +83,27 @@ struct FoldContext
      */
     sim::Tick traceEnd = 0;
     /**
-     * Compiled state machine, shared by the serial fold and every
-     * shard of a query (makeFoldContext fills it in for the
-     * state-based fold kinds; the folds compile their own when
-     * handed a bare context).
+     * Compiled state machine, shared by every shard and the merger
+     * of a query (makeFoldContext fills it in for the state-based
+     * fold kinds; a bare context compiles its own).
      */
     std::shared_ptr<const StateTable> stateTable;
 };
 
-class Fold
-{
-  public:
-    virtual ~Fold() = default;
-
-    /** Consume one (already filtered) event. */
-    virtual void onEvent(const trace::TraceEvent &ev) = 0;
-
-    /** End of stream: close open state and build the result. */
-    virtual Table finish() = 0;
-};
-
-/** Instantiate the fold sink a query asks for. */
-std::unique_ptr<Fold> makeFold(const FoldSpec &spec,
-                               const FoldContext &ctx);
-
 /**
- * Per-shard partial aggregation state for sharded query execution.
- *
- * A shard fold consumes one contiguous, already-filtered slice of
- * the trace and accumulates whatever partial state its fold kind can
- * aggregate without seeing the rest of the trace:
+ * Per-shard partial aggregation state. A shard fold consumes one
+ * contiguous, already-filtered slice of the trace and accumulates
+ * whatever its fold kind can aggregate without seeing the rest:
  *
  *  - integer aggregates that merge by addition (unwindowed counts);
- *  - closed state intervals plus the boundary state (the still-open
- *    state per stream, the first Begin per stream) that lets the
- *    merge stitch intervals across shard edges;
- *  - per-stream inter-event gaps plus first/last timestamps
- *    (latency);
+ *  - closed state intervals in a packed arena, plus the boundary
+ *    state (the still-open state per stream, the first Begin per
+ *    stream) that lets the merger stitch intervals across edges;
+ *  - per-stream inter-event gaps in one arena in event order, plus
+ *    the last timestamp per stream (latency);
  *  - compact replay buffers where the needed state is irreducibly
  *    global (windowed counts need the global window origin; rtt
  *    matching needs the global begin/end pairing order).
- *
- * mergeShardFolds() combines the partials *in shard order* and
- * produces a table that is bit-exact — the same doubles, not
- * approximately equal — with a serial Fold fed the concatenated
- * accepted stream, because every floating-point accumulation is
- * replayed in the serial order while integer aggregates merge by
- * (order-free) addition. tests/query/test_crosscheck.cpp and
- * tests/parallel/test_sharded_query.cpp lock this contract for every
- * fold kind and shard count.
  */
 class ShardFold
 {
@@ -133,10 +114,9 @@ class ShardFold
     virtual void onEvent(const trace::TraceEvent &ev) = 0;
 
     /**
-     * Consume a whole (already filtered) block in one virtual call —
-     * the hot path of the sharded executor. Overridden by the fold
-     * kinds with a tight inner loop; the default forwards to
-     * onEvent().
+     * Consume a whole (already filtered) block in one virtual call.
+     * Overridden by the fold kinds with a tight inner loop; the
+     * default forwards to onEvent().
      */
     virtual void
     onBatch(const trace::TraceEvent *events, std::size_t n)
@@ -157,9 +137,10 @@ class ShardFold
     virtual void onRawBatch(const unsigned char *raw, std::size_t n);
 
     /**
-     * Arena hint: the shard will see at most @p records records.
-     * Folds preallocate their partial storage (interval arenas,
-     * count tables) so the hot loop never reallocates.
+     * Arena hint: at most @p records records arrive between two
+     * drains (or in the shard's life, if it is never drained). Folds
+     * preallocate their partial storage so the hot loop never
+     * reallocates.
      */
     virtual void
     reserveHint(std::uint64_t records)
@@ -168,17 +149,81 @@ class ShardFold
     }
 };
 
+/** Receives the rows of one finished window (live preview). */
+using RowSink = std::function<void(const Table &)>;
+
+/**
+ * The ordered merger of one query: absorbs the shard partials of
+ * makeShardFold() (same spec and context) in trace order and renders
+ * the final table. The result is bit-exact for every shard count —
+ * the same doubles, not approximately equal — because integer
+ * aggregates merge by (order-free) addition while every
+ * floating-point accumulation is replayed in serial per-key order.
+ *
+ * Order rule: only the *head* shard — the first one not yet absorbed
+ * — may be drained or absorbed. A state still open at a shard's end
+ * is carried and closes at the next shard's first Begin of its
+ * stream, before that shard's intervals replay; a latency gap across
+ * an edge is taken at the stream's first event of the next shard.
+ */
+class FoldMerger
+{
+  public:
+    virtual ~FoldMerger() = default;
+
+    /**
+     * Fold in what the head shard has closed since its last drain,
+     * and release it from the shard, which keeps only its boundary
+     * state and may go on consuming events. Costs O(what the shard
+     * closed since the last drain), never O(streams).
+     */
+    virtual void drain(ShardFold &head) = 0;
+
+    /**
+     * The head shard is complete: drain it and carry its boundary
+     * state to the next shard. The next shard becomes the head.
+     */
+    virtual void absorb(ShardFold &head) = 0;
+
+    /** End of the trace: close what is still carried and render the
+     *  table. Call once, after the last absorb(). */
+    virtual Table finish() = 0;
+
+    /** Does this fold preview finished windows mid-stream (fixed-
+     *  window `count` and `utilization`)? */
+    virtual bool
+    previewsWindows() const
+    {
+        return false;
+    }
+
+    /**
+     * Live preview, for a single shard drained up to the latest
+     * accepted timestamp @p now: hand @p sink the rows of every fixed
+     * window that ended at or before @p now and was not previewed
+     * before, one call per window with rows, skipping empty windows.
+     * Each row is the one the final table will hold for that window
+     * and stream: the accumulator's entry, plus (utilization) each
+     * target state still open in @p head credited up to the window's
+     * end.
+     */
+    virtual void
+    previewWindows(sim::Tick now, const ShardFold &head,
+                   const RowSink &sink)
+    {
+        (void)now;
+        (void)head;
+        (void)sink;
+    }
+};
+
 /** Instantiate one shard's partial sink for @p spec. */
 std::unique_ptr<ShardFold> makeShardFold(const FoldSpec &spec,
                                          const FoldContext &ctx);
 
-/**
- * Merge shard partials (created by makeShardFold for the same spec
- * and context, shards in trace order) into the final result table.
- * Null entries (shards that saw no work) are skipped.
- */
-Table mergeShardFolds(const FoldSpec &spec, const FoldContext &ctx,
-                      std::vector<std::unique_ptr<ShardFold>> &shards);
+/** Instantiate the ordered merger for @p spec. */
+std::unique_ptr<FoldMerger> makeFoldMerger(const FoldSpec &spec,
+                                           const FoldContext &ctx);
 
 /**
  * Resolve a token pattern (event name glob, decimal, or 0x-hex

@@ -2,31 +2,36 @@
  * @file
  * Push-driven incremental query evaluation for live trace streams.
  *
- * The batch pipeline pulls a whole trace through QueryEngine and
- * renders one table at the end. A live stream has no end (or an end
- * minutes away), so `tracequery --follow` needs results *while* the
- * stream runs. IncrementalEngine wraps a QueryEngine — every pushed
- * event feeds it, and finish() returns the exact table the batch
- * pipeline would produce for the same stream — and, for the window
- * shapes whose results are decided early, additionally emits
- * finalized rows through a callback as the stream advances:
+ * A live stream has no end (or an end minutes away), so
+ * `tracequery --follow` needs results *while* the stream runs.
+ * IncrementalEngine treats the stream as one head shard of the
+ * sharded executor: every pushed batch passes the query's filter
+ * chain into the head shard fold, which then drains into the query's
+ * ordered merger, so the engine holds only the fold's aggregation
+ * state and the head's boundary state. finish() absorbs the head and
+ * returns the exact table the batch pipeline produces for the same
+ * stream.
  *
- *  - fixed-window `count`: window k's rows are final once an accepted
- *    event at or past the end of window k arrives; the concatenation
- *    of the emitted row groups is bit-identical to (a prefix of) the
- *    final table, in the final table's row order;
- *  - fixed-window `utilization`: window k's nonzero-coverage rows are
- *    emitted when the stream passes the window's end (open activity
- *    intervals are credited up to the window edge, exactly as the
- *    batch fold will account them at close). The final table may add
- *    all-zero rows in dense mode; every emitted row reappears in it
- *    verbatim.
+ * For fixed-window `count` and `utilization`, whose window results
+ * are decided early, the engine also previews finished windows:
+ * after each batch, every window that ends at or before the latest
+ * accepted timestamp is read from the merger and handed to the
+ * callback, one call per window with rows, in window order. Each
+ * previewed row is the row the final table will hold:
  *
- * Sliding windows and the remaining folds (`states`, `latency`,
- * `rtt`) aggregate global state, so they stream nothing early and
- * deliver everything at finish(). Live emission assumes the pushed
- * stream is time-ordered (merged trace order, which the live session
- * delivers); finish() stays authoritative regardless.
+ *  - `count`: the concatenation of the previewed row groups is a
+ *    prefix of the final table, in its row order;
+ *  - `utilization`: open activity states are credited up to the
+ *    window edge, exactly as the final accumulation will count them
+ *    once they close; every previewed row reappears verbatim in the
+ *    final table, which may add all-zero rows in dense mode.
+ *
+ * The preview groups do not depend on how the stream is cut into
+ * batches. Sliding windows and the remaining folds (`states`,
+ * `latency`, `rtt`) preview nothing and deliver everything at
+ * finish(). The preview assumes the pushed stream is time-ordered
+ * (merged trace order, which the live session delivers); finish()
+ * stays authoritative regardless.
  */
 
 #ifndef QUERY_INCREMENTAL_HH
@@ -34,8 +39,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "query/engine.hh"
 
@@ -47,9 +52,9 @@ namespace query
 class IncrementalEngine
 {
   public:
-    /** Receives each finalized-window partial result: same columns
-     *  as the final table, rows of one window. */
-    using RowCallback = std::function<void(const Table &)>;
+    /** Receives each finished window's rows: same columns as the
+     *  final table, rows of one window. */
+    using RowCallback = RowSink;
 
     IncrementalEngine(const Query &query,
                       const trace::EventDictionary &dict,
@@ -65,81 +70,21 @@ class IncrementalEngine
     /** End of stream: the authoritative batch-identical table. */
     Table finish();
 
-    /** Does this query shape emit finalized rows mid-stream? */
+    /** Does this query shape preview finished windows mid-stream? */
     bool
     streamsLive() const
     {
-        return mode != Mode::FinishOnly;
-    }
-
-    std::uint64_t
-    eventsSeen() const
-    {
-        return engine.eventsSeen();
-    }
-
-    std::uint64_t
-    eventsAccepted() const
-    {
-        return engine.eventsAccepted();
+        return merger->previewsWindows();
     }
 
   private:
-    enum class Mode
-    {
-        /** No early emission; everything arrives at finish(). */
-        FinishOnly,
-        WindowCount,
-        WindowUtilization,
-    };
-
-    /** Live-preview bookkeeping for one accepted event. */
-    void onAccepted(const trace::TraceEvent &ev);
-    /** Emit every window that ends at or before @p now. */
-    void finalizeBefore(sim::Tick now);
-    void emitCountWindow(std::int64_t k);
-    void emitUtilizationWindow(std::int64_t k);
-    /** Add a closed activity interval's window overlaps (skipping
-     *  already-finalized windows). */
-    void addOverlap(unsigned stream, sim::Tick begin, sim::Tick end);
-
-    sim::Tick
-    windowStart(std::int64_t k) const
-    {
-        return origin + static_cast<sim::Tick>(k) * windowSize;
-    }
-
-    QueryEngine engine;
     FoldContext context;
-    Mode mode = Mode::FinishOnly;
+    FilterChain chain;
+    std::unique_ptr<ShardFold> head;
+    std::unique_ptr<FoldMerger> merger;
     RowCallback onRows;
-
-    /** Second compiled chain for the live preview (live modes only;
-     *  the inner engine filters independently). */
-    std::unique_ptr<FilterChain> previewChain;
-
-    // --- fixed-window bookkeeping (live modes) ---
-    sim::Tick windowSize = 0;
-    sim::Tick origin = 0;
-    bool originSet = false;
-    /** First window index not yet finalized/emitted. */
-    std::int64_t nextWindow = 0;
-
-    // --- WindowCount ---
-    std::map<std::tuple<std::int64_t, unsigned, std::uint16_t>,
-             std::uint64_t>
-        counts;
-
-    // --- WindowUtilization ---
-    std::string stateName;
-    std::uint16_t targetSid = 0;
-    struct OpenState
-    {
-        std::uint16_t sid;
-        sim::Tick begin;
-    };
-    std::map<unsigned, OpenState> open;
-    std::map<std::pair<std::int64_t, unsigned>, sim::Tick> overlap;
+    /** Survivors of the filter chain, one batch at a time. */
+    std::vector<trace::TraceEvent> accepted;
 };
 
 } // namespace query

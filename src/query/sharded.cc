@@ -50,6 +50,10 @@ runShardLoop(unsigned shards, const Body &body)
                            [&body](std::size_t s) { body(s); });
 }
 
+/** Records per block: the head shard drains into the merger after
+ *  each one, so it never holds more than a block's partials. */
+constexpr std::uint64_t blockRecords = 4096;
+
 } // namespace
 
 Table
@@ -61,46 +65,47 @@ runQuerySharded(const std::vector<trace::TraceEvent> &events,
     const unsigned shards = static_cast<unsigned>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(std::max(jobs, 1u), n ? n : 1)));
     const FoldContext ctx = makeFoldContext(query, dict, trace_end);
+    const auto merger = makeFoldMerger(query.fold, ctx);
     std::vector<std::unique_ptr<ShardFold>> partials(shards);
     runShardLoop(shards, [&](std::size_t s) {
         // Each shard compiles its own filter chain (the chain
         // caches glob results, so it is stateful) and owns its
-        // partial fold; nothing mutable is shared across shards
-        // (the compiled StateTable in ctx is read-only).
+        // partial fold; only shard 0, the head, touches the merger
+        // before the loop joins (the compiled StateTable in ctx is
+        // read-only).
         std::uint64_t lo = 0;
         std::uint64_t len = 0;
         shardRange(n, shards, static_cast<unsigned>(s), lo, len);
         FilterChain chain(query, dict);
         auto fold = makeShardFold(query.fold, ctx);
-        fold->reserveHint(len);
-        if (chain.empty()) {
-            // No filter stages: feed the slice to the fold in one
-            // virtual call per block, straight from the caller's
-            // vector.
-            fold->onBatch(events.data() + lo,
-                          static_cast<std::size_t>(len));
-        } else {
-            // Filter into a scratch block (the shared input is
-            // read-only), then batch-feed the survivors.
-            std::vector<trace::TraceEvent> scratch(
-                static_cast<std::size_t>(
-                    std::min<std::uint64_t>(len, 4096)));
-            std::size_t kept = 0;
-            for (std::uint64_t i = lo; i < lo + len; ++i) {
-                if (chain.accepts(events[i])) {
-                    scratch[kept++] = events[i];
-                    if (kept == scratch.size()) {
-                        fold->onBatch(scratch.data(), kept);
-                        kept = 0;
-                    }
+        fold->reserveHint(s == 0 ? std::min(len, blockRecords) : len);
+        std::vector<trace::TraceEvent> scratch;
+        for (std::uint64_t at = lo; at < lo + len; at += blockRecords) {
+            const auto *block = events.data() + at;
+            const auto count = static_cast<std::size_t>(
+                std::min(blockRecords, lo + len - at));
+            if (chain.empty()) {
+                // No filter stages: feed the block straight from the
+                // caller's vector.
+                fold->onBatch(block, count);
+            } else {
+                // Filter into a scratch block (the shared input is
+                // read-only), then batch-feed the survivors.
+                scratch.clear();
+                for (std::size_t i = 0; i < count; ++i) {
+                    if (chain.accepts(block[i]))
+                        scratch.push_back(block[i]);
                 }
+                fold->onBatch(scratch.data(), scratch.size());
             }
-            if (kept)
-                fold->onBatch(scratch.data(), kept);
+            if (s == 0)
+                merger->drain(*fold);
         }
         partials[s] = std::move(fold);
     });
-    return mergeShardFolds(query.fold, ctx, partials);
+    for (auto &partial : partials)
+        merger->absorb(*partial);
+    return merger->finish();
 }
 
 bool
@@ -124,6 +129,7 @@ runQueryFileSharded(const std::string &path,
     const unsigned shards = static_cast<unsigned>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(std::max(jobs, 1u), n ? n : 1)));
     const FoldContext ctx = makeFoldContext(query, dict, trace_end);
+    const auto merger = makeFoldMerger(query.fold, ctx);
     std::vector<std::unique_ptr<ShardFold>> partials(shards);
     std::vector<std::string> shardErrors(shards);
     runShardLoop(shards, [&](std::size_t s) {
@@ -133,7 +139,7 @@ runQueryFileSharded(const std::string &path,
         trace::TraceReader reader(file, lo, len);
         FilterChain chain(query, dict);
         auto fold = makeShardFold(query.fold, ctx);
-        fold->reserveHint(len);
+        fold->reserveHint(s == 0 ? std::min(len, blockRecords) : len);
         std::vector<trace::TraceEvent> batch;
         const unsigned char *raw = nullptr;
         std::size_t got;
@@ -143,16 +149,19 @@ runQueryFileSharded(const std::string &path,
                 // its own consume loop — records go straight from
                 // the read buffer into the aggregation state.
                 fold->onRawBatch(raw, got);
-                continue;
+            } else {
+                // Batch filter stage, fused with the decode: rejected
+                // records never reach the batch array, and the fold
+                // takes the whole surviving block in one virtual
+                // call.
+                if (batch.size() < got)
+                    batch.resize(got);
+                const std::size_t kept =
+                    chain.filterDecodeBatch(raw, got, batch.data());
+                fold->onBatch(batch.data(), kept);
             }
-            // Batch filter stage, fused with the decode: rejected
-            // records never reach the batch array, and the fold
-            // takes the whole surviving block in one virtual call.
-            if (batch.size() < got)
-                batch.resize(got);
-            const std::size_t kept =
-                chain.filterDecodeBatch(raw, got, batch.data());
-            fold->onBatch(batch.data(), kept);
+            if (s == 0)
+                merger->drain(*fold);
         }
         if (!reader.error().empty()) {
             shardErrors[s] = reader.error();
@@ -168,7 +177,9 @@ runQueryFileSharded(const std::string &path,
             return false;
         }
     }
-    out = mergeShardFolds(query.fold, ctx, partials);
+    for (auto &partial : partials)
+        merger->absorb(*partial);
+    out = merger->finish();
     return true;
 }
 

@@ -1,15 +1,20 @@
 /**
  * @file
- * Sharded query execution: split a trace into contiguous per-thread
- * record ranges, run the filter chain and a per-shard partial fold
- * over each range concurrently, then merge the partials in shard
- * order into the final table.
+ * Sharded query execution, the one executor every query runs
+ * through: split a trace into contiguous per-thread record ranges,
+ * run the filter chain and a shard fold over each range
+ * concurrently, and absorb the partials in shard order into the
+ * query's ordered merger (query::FoldMerger). Shard 0 drains into the
+ * merger after every block as it folds, so it holds only one block's
+ * partials; the other shards keep theirs until the merge.
  *
- * The merge is *bit-exact* with the streaming QueryEngine — the same
- * doubles, not approximately equal — for every shard count, including
- * one shard (see query::mergeShardFolds for how). The cross-check
- * tests (tests/query/test_crosscheck.cpp,
- * tests/parallel/test_sharded_query.cpp) lock this contract.
+ * The result is *bit-exact* — the same doubles, not approximately
+ * equal — for every shard count: runQuery() and runQueryFile() are
+ * the one-shard form. The cross-check tests
+ * (tests/query/test_crosscheck.cpp,
+ * tests/parallel/test_sharded_query.cpp,
+ * tests/parallel/test_property_sharded.cpp) lock this contract, the
+ * last against a per-event reference as well.
  */
 
 #ifndef QUERY_SHARDED_HH
@@ -30,7 +35,8 @@ namespace query
 
 /**
  * Run @p query over an in-memory trace on up to @p jobs threads.
- * Result is bit-exact with runQuery() for any @p jobs >= 1.
+ * Result is bit-exact with runQuery() (one shard) for any
+ * @p jobs >= 1.
  */
 Table runQuerySharded(const std::vector<trace::TraceEvent> &events,
                       const trace::EventDictionary &dict,
@@ -40,8 +46,8 @@ Table runQuerySharded(const std::vector<trace::TraceEvent> &events,
 /**
  * Run @p query over a saved trace file on up to @p jobs threads, each
  * shard streaming its own contiguous record range through its own
- * trace::TraceReader. Result is bit-exact with runQueryFile() for any
- * @p jobs >= 1.
+ * trace::TraceReader. Result is bit-exact with runQueryFile() (one
+ * shard) for any @p jobs >= 1.
  * @return false with @p error set if the file is unreadable or
  *         truncated (the lowest-numbered failing shard's error wins).
  * @param seed_out when non-null, receives the run seed recorded in

@@ -5,7 +5,9 @@
  * fixed-window count partials form an exact prefix of the final
  * table, fixed-window utilization partials reappear verbatim in it,
  * and the finish-only shapes (sliding windows, states, latency, rtt)
- * stream nothing early but still agree at the end.
+ * stream nothing early but still agree at the end. Every query is
+ * pushed in batches of 1, 7 and 512 events, which must preview the
+ * same row groups in the same order.
  */
 
 #include <gtest/gtest.h>
@@ -90,30 +92,52 @@ rowsCsv(const query::Table &table)
                                     : csv.substr(eol + 1);
 }
 
-/** Run @p queryText both ways over @p events; return the emitted
- *  partial rows (concatenated, CSV, no headers) through @p partials
- *  and EXPECT the incremental final table to equal the batch one. */
+/** Concatenate previewed row groups. */
+std::string
+joined(const std::vector<std::string> &groups)
+{
+    std::string out;
+    for (const std::string &g : groups)
+        out += g;
+    return out;
+}
+
+/** Push @p queryText's events through an IncrementalEngine in
+ *  batches of 1, 7 and 512; EXPECT every batch size to preview the
+ *  same row groups (CSV rows, no header) and to finish with the
+ *  batch table. Returns the final table; @p groups receives the
+ *  previewed groups. */
 query::Table
 crosscheck(const std::vector<TraceEvent> &events,
            const trace::EventDictionary &dict,
-           const std::string &queryText, std::string &partials,
-           bool expectLive)
+           const std::string &queryText,
+           std::vector<std::string> &groups, bool expectLive)
 {
     const query::Query parsed = mustParse(queryText);
-    std::string emitted;
-    query::IncrementalEngine inc(
-        parsed, dict,
-        [&emitted](const query::Table &rows) {
-            emitted += rowsCsv(rows);
-        });
-    EXPECT_EQ(inc.streamsLive(), expectLive) << queryText;
-    for (const TraceEvent &event : events)
-        inc.onEvent(event);
-    const query::Table live = inc.finish();
     const query::Table batch = query::runQuery(events, dict, parsed);
-    EXPECT_EQ(live.toCsv(), batch.toCsv()) << queryText;
-    partials = emitted;
-    return live;
+    for (const std::size_t size : {1u, 7u, 512u}) {
+        std::vector<std::string> emitted;
+        query::IncrementalEngine inc(
+            parsed, dict, [&emitted](const query::Table &rows) {
+                emitted.push_back(rowsCsv(rows));
+            });
+        EXPECT_EQ(inc.streamsLive(), expectLive) << queryText;
+        for (std::size_t at = 0; at < events.size(); at += size) {
+            if (size == 1)
+                inc.onEvent(events[at]);
+            else
+                inc.onBatch(events.data() + at,
+                            std::min(size, events.size() - at));
+        }
+        EXPECT_EQ(inc.finish().toCsv(), batch.toCsv())
+            << queryText << ", batches of " << size;
+        if (size == 1)
+            groups = emitted;
+        else
+            EXPECT_EQ(emitted, groups)
+                << queryText << ", batches of " << size;
+    }
+    return batch;
 }
 
 } // namespace
@@ -122,10 +146,11 @@ TEST(IncrementalEngine, CountPartialsAreAPrefixOfTheFinalTable)
 {
     const auto dict = testDictionary();
     const auto events = syntheticTrace();
-    std::string partials;
+    std::vector<std::string> groups;
     const query::Table final_table = crosscheck(
-        events, dict, "window 1ms | count", partials, true);
+        events, dict, "window 1ms | count", groups, true);
 
+    const std::string partials = joined(groups);
     const std::string finalRows = rowsCsv(final_table);
     EXPECT_FALSE(partials.empty());
     ASSERT_LE(partials.size(), finalRows.size());
@@ -137,12 +162,13 @@ TEST(IncrementalEngine, FilteredCountStreamsTheSamePrefix)
 {
     const auto dict = testDictionary();
     const auto events = syntheticTrace();
-    std::string partials;
+    std::vector<std::string> groups;
     const query::Table final_table = crosscheck(
         events, dict,
         "filter stream=servant* token=evJobSend | window 2ms | count",
-        partials, true);
+        groups, true);
 
+    const std::string partials = joined(groups);
     const std::string finalRows = rowsCsv(final_table);
     EXPECT_FALSE(partials.empty());
     EXPECT_EQ(partials, finalRows.substr(0, partials.size()));
@@ -153,31 +179,21 @@ TEST(IncrementalEngine, UtilizationPartialsReappearInTheFinalTable)
     const auto dict = testDictionary();
     const auto events = syntheticTrace();
 
-    const query::Query parsed =
-        mustParse("window 2ms | utilization state=WORK");
+    std::vector<std::string> groups;
+    const query::Table final_table = crosscheck(
+        events, dict, "window 2ms | utilization state=WORK", groups,
+        true);
     std::vector<std::string> emittedLines;
-    query::IncrementalEngine inc(
-        parsed, dict, [&emittedLines](const query::Table &rows) {
-            std::string csv = rowsCsv(rows);
-            std::size_t start = 0;
-            while (start < csv.size()) {
-                const std::size_t eol = csv.find('\n', start);
-                emittedLines.push_back(
-                    csv.substr(start, eol - start));
-                start = eol == std::string::npos ? csv.size()
-                                                 : eol + 1;
-            }
-        });
-    EXPECT_TRUE(inc.streamsLive());
-    for (const TraceEvent &event : events)
-        inc.onEvent(event);
-    const query::Table live = inc.finish();
-    const query::Table batch = query::runQuery(events, dict, parsed);
-    EXPECT_EQ(live.toCsv(), batch.toCsv());
+    const std::string partials = joined(groups);
+    for (std::size_t start = 0; start < partials.size();) {
+        const std::size_t eol = partials.find('\n', start);
+        emittedLines.push_back(partials.substr(start, eol - start));
+        start = eol == std::string::npos ? partials.size() : eol + 1;
+    }
 
     // Every emitted row must appear verbatim in the final table.
     EXPECT_FALSE(emittedLines.empty());
-    const std::string finalCsv = live.toCsv();
+    const std::string finalCsv = final_table.toCsv();
     for (const std::string &line : emittedLines)
         EXPECT_NE(finalCsv.find(line), std::string::npos)
             << "emitted row missing from final table: " << line;
@@ -196,9 +212,9 @@ TEST(IncrementalEngine, FinishOnlyShapesMatchBatchExactly)
         "rtt begin=evJobSend end=evWorkBegin",
     };
     for (const char *text : queries) {
-        std::string partials;
-        crosscheck(events, dict, text, partials, false);
-        EXPECT_TRUE(partials.empty()) << text;
+        std::vector<std::string> groups;
+        crosscheck(events, dict, text, groups, false);
+        EXPECT_TRUE(groups.empty()) << text;
     }
 }
 
@@ -212,19 +228,40 @@ TEST(IncrementalEngine, GoldenScenarioStreamsMatchBatch)
     ASSERT_TRUE(result.completed);
 
     {
-        std::string partials;
+        std::vector<std::string> groups;
         const query::Table final_table =
             crosscheck(result.events, result.dictionary,
-                       "window 1ms | count", partials, true);
+                       "window 1ms | count", groups, true);
+        const std::string partials = joined(groups);
         const std::string finalRows = rowsCsv(final_table);
         EXPECT_FALSE(partials.empty());
         EXPECT_EQ(partials, finalRows.substr(0, partials.size()));
     }
     {
-        std::string partials;
+        std::vector<std::string> groups;
         crosscheck(result.events, result.dictionary,
                    "filter stream=servant* | window 1ms | "
                    "utilization state=WORK",
-                   partials, true);
+                   groups, true);
     }
+}
+
+TEST(IncrementalEngine, EmptyWindowsAcrossAHugeGapAreSkipped)
+{
+    // WORK closes before a 10^12-tick silence. With 1-tick windows
+    // only the windows around the two WORK stays have rows; the
+    // preview must jump the empty windows, not walk them.
+    const auto dict = testDictionary();
+    const sim::Tick gap = 1000000000000ull;
+    const std::vector<TraceEvent> events = {
+        ev(100, tokWork, 0),       ev(103, tokIdle, 0),
+        ev(105, tokSend, 0),       ev(gap + 105, tokWork, 0),
+        ev(gap + 107, tokIdle, 0), ev(gap + 110, tokSend, 0)};
+    std::vector<std::string> groups;
+    const query::Table final_table = crosscheck(
+        events, dict, "window 1 | utilization state=WORK", groups, true);
+
+    // One group per WORK tick: [100, 103) and [gap+105, gap+107).
+    ASSERT_EQ(groups.size(), 5u);
+    EXPECT_EQ(joined(groups), rowsCsv(final_table));
 }

@@ -2,7 +2,8 @@
  * @file
  * Property-based shard-merge testing: for randomized traces and
  * randomized query pipelines, the sharded executor must be bit-exact
- * with the streaming engine for every shard count 1..8 (the merge
+ * with one shard and with the tests' per-event reference
+ * (query/reference_query.hh) for every shard count 1..8 (the merge
  * contract of ARCHITECTURE.md §11). Where test_sharded_query.cpp
  * pins hand-built boundary-hostile cases, this suite samples the
  * input space — trace shapes (huge stream ids past the flat-table
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "query/engine.hh"
+#include "query/reference_query.hh"
 #include "query/sharded.hh"
 #include "scratch_dir.hh"
 #include "sim/logging.hh"
@@ -207,15 +209,16 @@ tablesEqual(const query::Table &a, const query::Table &b)
     return true;
 }
 
-/** true when sharded(jobs) diverges from serial on this trace. */
+/** true when sharded(jobs) diverges from one shard or from the
+ *  reference on this trace. */
 bool
 mismatches(const std::vector<TraceEvent> &events,
            const trace::EventDictionary &dict,
            const query::Query &q, unsigned jobs)
 {
-    const auto serial = query::runQuery(events, dict, q);
     const auto sharded = query::runQuerySharded(events, dict, q, jobs);
-    return !tablesEqual(serial, sharded);
+    return !tablesEqual(query::runQuery(events, dict, q), sharded) ||
+           !tablesEqual(test::referenceQuery(events, dict, q), sharded);
 }
 
 /**
@@ -291,23 +294,35 @@ describeQuery(const query::Query &q)
 TEST(PropertySharded, RandomTracesAndQueriesBitExactForShards1To8)
 {
     const auto dict = testDictionary();
+    // The generator gives every Job Send a fresh job id; this extra
+    // rtt pairing begins on Mark, whose parameters repeat, so the
+    // duplicate-begin rule is sampled too.
+    query::Query duplicateBegins;
+    duplicateBegins.fold.kind = query::FoldKind::Rtt;
+    duplicateBegins.fold.beginPattern = "Mark";
+    duplicateBegins.fold.endPattern = "Job Receive";
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
         sim::Random rng(sim::deriveSeed(20260809, seed));
         const auto events = randomTrace(rng);
-        const auto q = randomQuery(rng, events);
-        const auto serial = query::runQuery(events, dict, q);
-        for (unsigned jobs = 1; jobs <= 8; ++jobs) {
-            const auto sharded =
-                query::runQuerySharded(events, dict, q, jobs);
-            if (tablesEqual(serial, sharded))
-                continue;
-            const auto minimal = shrink(events, dict, q, jobs);
-            FAIL() << "shard merge diverged from serial\n"
-                   << "  seed " << seed << ", jobs " << jobs
-                   << ", query " << describeQuery(q) << "\n"
-                   << "  shrunk to " << minimal.size()
-                   << " events (from " << events.size() << "):\n"
-                   << describeEvents(minimal);
+        for (const auto &q : {randomQuery(rng, events), duplicateBegins}) {
+            const auto one = query::runQuery(events, dict, q);
+            const auto reference = test::referenceQuery(events, dict, q);
+            for (unsigned jobs = 1; jobs <= 8; ++jobs) {
+                const auto sharded =
+                    query::runQuerySharded(events, dict, q, jobs);
+                const bool oneOk = tablesEqual(one, sharded);
+                const bool referenceOk = tablesEqual(reference, sharded);
+                if (oneOk && referenceOk)
+                    continue;
+                const auto minimal = shrink(events, dict, q, jobs);
+                FAIL() << "shard merge diverged from "
+                       << (oneOk ? "the reference" : "one shard") << "\n"
+                       << "  seed " << seed << ", jobs " << jobs
+                       << ", query " << describeQuery(q) << "\n"
+                       << "  shrunk to " << minimal.size()
+                       << " events (from " << events.size() << "):\n"
+                       << describeEvents(minimal);
+            }
         }
     }
 }
@@ -324,16 +339,21 @@ TEST(PropertySharded, FileExecutionMatchesInMemoryOnRandomTraces)
         // The file path requires timestamp-sorted records (saveTrace
         // contract); the generator is already monotone.
         ASSERT_TRUE(trace::saveTrace(path, events));
-        const auto serial = query::runQuery(events, dict, q);
+        const auto one = query::runQuery(events, dict, q);
+        const auto reference = test::referenceQuery(events, dict, q);
         for (unsigned jobs : {1u, 3u, 8u}) {
             query::Table sharded;
             std::string error;
             ASSERT_TRUE(query::runQueryFileSharded(
                 path, dict, q, jobs, sharded, error))
                 << "seed " << seed << ": " << error;
-            EXPECT_TRUE(tablesEqual(serial, sharded))
+            EXPECT_TRUE(tablesEqual(one, sharded))
                 << "file shard merge diverged, seed " << seed
                 << ", jobs " << jobs << ", query "
+                << describeQuery(q);
+            EXPECT_TRUE(tablesEqual(reference, sharded))
+                << "file shard merge diverged from the reference, seed "
+                << seed << ", jobs " << jobs << ", query "
                 << describeQuery(q);
         }
     }

@@ -38,12 +38,14 @@
  * Query syntax (see src/query/query.hh):
  *   filter stream=servant.* token=evWork* | window 10ms | utilization
  *
- * Saved trace files are evaluated in a single streaming pass with
- * bounded memory, so traces far larger than RAM work. With --jobs N a
- * single file is split into N record shards evaluated concurrently
- * (bit-exact with the streaming pass), several files are evaluated
- * concurrently (output stays in argument order), and `--scenario all`
- * runs the scenario simulations concurrently. Exit status: 0 ok, 1
+ * Saved trace files are evaluated in a single streaming pass; at
+ * --jobs 1 memory is bounded by the fold's aggregation state, so
+ * traces far larger than RAM work. With --jobs N a single file is
+ * split into N record shards evaluated concurrently (bit-exact with
+ * --jobs 1; every shard but the first keeps its partials until the
+ * merge), several files are evaluated concurrently (output stays in
+ * argument order), and `--scenario all` runs the scenario
+ * simulations concurrently. Exit status: 0 ok, 1
  * unreadable/invalid input or failed run, 2 usage or query parse
  * error.
  */
