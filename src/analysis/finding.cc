@@ -1,9 +1,10 @@
 #include "finding.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "trace/report.hh"
 
 namespace supmon
 {
@@ -50,59 +51,26 @@ formatText(const std::vector<Finding> &findings)
     return out.str();
 }
 
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 formatJson(const std::vector<Finding> &findings)
 {
-    std::ostringstream out;
-    out << "[";
+    std::string out = "[";
     for (std::size_t i = 0; i < findings.size(); ++i) {
         const auto &f = findings[i];
-        out << (i ? ",\n " : "\n ") << "{\"check\": \""
-            << jsonEscape(f.check) << "\", \"severity\": \""
-            << severityName(f.severity) << "\", \"object\": \""
-            << jsonEscape(f.object) << "\", \"location\": \""
-            << jsonEscape(f.location) << "\", \"message\": \""
-            << jsonEscape(f.message) << "\"}";
+        out += i ? ",\n {\"check\": " : "\n {\"check\": ";
+        trace::appendJsonString(out, f.check);
+        out += ", \"severity\": \"";
+        out += severityName(f.severity);
+        out += "\", \"object\": ";
+        trace::appendJsonString(out, f.object);
+        out += ", \"location\": ";
+        trace::appendJsonString(out, f.location);
+        out += ", \"message\": ";
+        trace::appendJsonString(out, f.message);
+        out += '}';
     }
-    out << (findings.empty() ? "]" : "\n]") << "\n";
-    return out.str();
+    out += findings.empty() ? "]\n" : "\n]\n";
+    return out;
 }
 
 bool

@@ -1,9 +1,8 @@
 #include "table.hh"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
-#include "sim/logging.hh"
 #include "trace/report.hh"
 
 namespace supmon
@@ -14,54 +13,31 @@ namespace query
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
+/** Append numeric cell @p v as printf prints it: `%llu` for Int,
+ *  `%.<precision>g` for Real. to_chars's integer overload and its
+ *  precision overloads are specified as exactly those conversions. */
+void
+appendNumber(std::string &out, const Value &v, int precision)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += sim::strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
+    // Wide enough for any %llu (20 bytes) or %.10g (17 bytes) output.
+    char buf[32];
+    const auto res =
+        v.kind == Value::Kind::Int
+            ? std::to_chars(buf, buf + sizeof buf, v.integer)
+            : std::to_chars(buf, buf + sizeof buf, v.real,
+                            std::chars_format::general, precision);
+    out.append(buf, res.ptr);
 }
+
+/** Text cells print reals at %.6g, CSV and JSON at %.10g. */
+constexpr int textPrecision = 6;
+constexpr int exactPrecision = 10;
+
+/** CSV and JSON reserve this much per value; a short guess only
+ *  costs the string's geometric growth. */
+constexpr std::size_t cellBytes = 12;
 
 } // namespace
-
-std::string
-Value::toString() const
-{
-    switch (kind) {
-      case Kind::Int:
-        return sim::strprintf(
-            "%llu", static_cast<unsigned long long>(integer));
-      case Kind::Real:
-        return sim::strprintf("%.6g", real);
-      case Kind::Text:
-        break;
-    }
-    return text;
-}
 
 bool
 parseOutputFormat(const std::string &name, OutputFormat &fmt)
@@ -80,94 +56,130 @@ parseOutputFormat(const std::string &name, OutputFormat &fmt)
 std::string
 Table::toText() const
 {
-    std::vector<std::size_t> widths(columns.size());
-    for (std::size_t c = 0; c < columns.size(); ++c)
+    const std::size_t ncols = columns.size();
+    std::vector<std::size_t> widths(ncols);
+    for (std::size_t c = 0; c < ncols; ++c)
         widths[c] = columns[c].size();
-    std::vector<std::vector<std::string>> cells;
-    cells.reserve(rows.size());
+
+    // First pass: column widths. Each number is formatted once, into
+    // `numbers`, in the order the second pass prints it.
+    std::string numbers;
+    std::vector<std::uint8_t> numberLengths; // each at most 20
     for (const auto &row : rows) {
-        std::vector<std::string> line;
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            line.push_back(c < row.size() ? row[c].toString() : "");
-            widths[c] = std::max(widths[c], line.back().size());
+        const std::size_t n = std::min(row.size(), ncols);
+        for (std::size_t c = 0; c < n; ++c) {
+            const Value &v = row[c];
+            std::size_t len = v.text.size();
+            if (v.kind != Value::Kind::Text) {
+                const std::size_t at = numbers.size();
+                appendNumber(numbers, v, textPrecision);
+                len = numbers.size() - at;
+                numberLengths.push_back(static_cast<std::uint8_t>(len));
+            }
+            widths[c] = std::max(widths[c], len);
         }
-        cells.push_back(std::move(line));
     }
 
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string> &line,
-                    const std::vector<Value> *row) {
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            const bool numeric =
-                row && c < row->size() &&
-                (*row)[c].kind != Value::Kind::Text;
-            os << sim::strprintf(numeric ? "%*s" : "%-*s",
-                                 static_cast<int>(widths[c]),
-                                 line[c].c_str());
-            os << (c + 1 < columns.size() ? "  " : "\n");
-        }
+    // Every line is as long: the cells padded to their widths, two
+    // spaces between them and a newline.
+    std::size_t lineLength = ncols ? 2 * ncols - 1 : 0;
+    for (std::size_t w : widths)
+        lineLength += w;
+    std::string out;
+    out.reserve(lineLength * (rows.size() + 1));
+    const auto endCell = [&](std::size_t c) {
+        if (c + 1 < ncols)
+            out.append(2, ' ');
+        else
+            out += '\n';
     };
-    emit(columns, nullptr);
-    for (std::size_t r = 0; r < cells.size(); ++r)
-        emit(cells[r], &rows[r]);
-    return os.str();
+    // Text cells (and the header) are left-aligned, numbers right.
+    const auto putText = [&](const std::string &s, std::size_t c) {
+        out += s;
+        out.append(widths[c] - s.size(), ' ');
+        endCell(c);
+    };
+
+    for (std::size_t c = 0; c < ncols; ++c)
+        putText(columns[c], c);
+    const std::string none;
+    const char *number = numbers.data();
+    auto length = numberLengths.begin();
+    for (const auto &row : rows) {
+        for (std::size_t c = 0; c < ncols; ++c) {
+            if (c >= row.size() || row[c].kind == Value::Kind::Text) {
+                putText(c < row.size() ? row[c].text : none, c);
+                continue;
+            }
+            const std::size_t len = *length++;
+            out.append(widths[c] - len, ' ');
+            out.append(number, len);
+            number += len;
+            endCell(c);
+        }
+    }
+    return out;
 }
 
 std::string
 Table::toCsv() const
 {
-    std::ostringstream os;
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-        os << trace::csvField(columns[c])
-           << (c + 1 < columns.size() ? "," : "");
+    const std::size_t ncols = columns.size();
+    std::string out;
+    out.reserve((rows.size() + 1) * (ncols * (cellBytes + 1)));
+    for (std::size_t c = 0; c < ncols; ++c) {
+        out += trace::csvField(columns[c]);
+        if (c + 1 < ncols)
+            out += ',';
     }
-    os << "\n";
+    out += '\n';
     for (const auto &row : rows) {
-        for (std::size_t c = 0; c < columns.size(); ++c) {
+        for (std::size_t c = 0; c < ncols; ++c) {
             if (c < row.size()) {
-                if (row[c].kind == Value::Kind::Real)
-                    os << sim::strprintf("%.10g", row[c].real);
+                if (row[c].kind == Value::Kind::Text)
+                    out += trace::csvField(row[c].text);
                 else
-                    os << trace::csvField(row[c].toString());
+                    appendNumber(out, row[c], exactPrecision);
             }
-            os << (c + 1 < columns.size() ? "," : "");
+            if (c + 1 < ncols)
+                out += ',';
         }
-        os << "\n";
+        out += '\n';
     }
-    return os.str();
+    return out;
 }
 
 std::string
 Table::toJson() const
 {
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        os << (r ? ",\n " : "\n ") << "{";
-        for (std::size_t c = 0; c < columns.size(); ++c) {
-            if (c >= rows[r].size())
-                break;
-            const Value &v = rows[r][c];
-            os << (c ? ", " : "") << "\"" << jsonEscape(columns[c])
-               << "\": ";
-            switch (v.kind) {
-              case Value::Kind::Int:
-                os << sim::strprintf(
-                    "%llu",
-                    static_cast<unsigned long long>(v.integer));
-                break;
-              case Value::Kind::Real:
-                os << sim::strprintf("%.10g", v.real);
-                break;
-              case Value::Kind::Text:
-                os << "\"" << jsonEscape(v.text) << "\"";
-                break;
-            }
-        }
-        os << "}";
+    // Each column's `"name": ` prefix, escaped once for every row.
+    std::vector<std::string> keys(columns.size());
+    std::size_t keyBytes = 0;
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+        trace::appendJsonString(keys[c], columns[c]);
+        keys[c] += ": ";
+        keyBytes += keys[c].size() + cellBytes + 2;
     }
-    os << "\n]\n";
-    return os.str();
+    std::string out;
+    out.reserve(rows.size() * (keyBytes + 5) + 4);
+    out += '[';
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        out.append(r ? ",\n {" : "\n {");
+        const std::size_t n = std::min(rows[r].size(), keys.size());
+        for (std::size_t c = 0; c < n; ++c) {
+            const Value &v = rows[r][c];
+            if (c)
+                out.append(", ");
+            out += keys[c];
+            if (v.kind == Value::Kind::Text)
+                trace::appendJsonString(out, v.text);
+            else
+                appendNumber(out, v, exactPrecision);
+        }
+        out += '}';
+    }
+    out.append("\n]\n");
+    return out;
 }
 
 std::string

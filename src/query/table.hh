@@ -3,7 +3,10 @@
  * Result table of a trace query: a small typed column/row container
  * with text, CSV and JSON renderers. Keeping cell values typed (not
  * pre-formatted strings) lets the CSV/JSON emitters print numbers as
- * numbers and lets tests compare results exactly.
+ * numbers and lets tests compare results exactly. Each renderer
+ * appends into one reserved string and formats numbers with
+ * std::to_chars, whose output equals printf's `%llu`, `%.6g` (text)
+ * and `%.10g` (CSV, JSON).
  */
 
 #ifndef QUERY_TABLE_HH
@@ -59,9 +62,6 @@ struct Value
         v.real = d;
         return v;
     }
-
-    /** Render for the text/CSV emitters. */
-    std::string toString() const;
 };
 
 /** Output format of a rendered table. */
@@ -86,7 +86,9 @@ struct Table
         rows.push_back(std::move(row));
     }
 
-    /** Column-aligned plain text with a header row. */
+    /** Column-aligned plain text with a header row: every cell is
+     *  padded to its column's widest byte length (header included),
+     *  numbers right-aligned, text and missing cells left-aligned. */
     std::string toText() const;
 
     /** RFC 4180 CSV (fields quoted when needed). */

@@ -53,6 +53,44 @@ csvField(const std::string &field)
     return quoted;
 }
 
+void
+appendJsonString(std::string &out, std::string_view text)
+{
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
+        }
+    }
+    out.append(text.data() + run, text.size() - run);
+    out += '"';
+}
+
 std::string
 intervalsCsv(const ActivityMap &map, const EventDictionary &dict)
 {

@@ -10,6 +10,7 @@
 #define TRACE_REPORT_HH
 
 #include <string>
+#include <string_view>
 
 #include "trace/activity.hh"
 #include "trace/dictionary.hh"
@@ -33,6 +34,14 @@ std::string stateStatisticsReport(const ActivityMap &map,
  * doubled). Plain fields pass through unchanged.
  */
 std::string csvField(const std::string &field);
+
+/**
+ * Append @p text to @p out as a quoted JSON string. `"` and `\` are
+ * backslash-escaped; newline, CR and tab become `\n`, `\r` and `\t`;
+ * other bytes below 0x20 become `\u00xx`. Every other byte (UTF-8
+ * included) passes through unchanged.
+ */
+void appendJsonString(std::string &out, std::string_view text);
 
 /** CSV with one row per state interval. */
 std::string intervalsCsv(const ActivityMap &map,

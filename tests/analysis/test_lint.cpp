@@ -323,3 +323,13 @@ TEST(Findings, JsonContainsEveryField)
     // Quotes and backslashes in the message must be escaped.
     EXPECT_NE(json.find("say \\\"hi\\\"\\\\"), std::string::npos);
 }
+
+TEST(Findings, JsonEscapesControlBytes)
+{
+    const std::vector<Finding> f = {{"queue-capacity",
+                                     Severity::Warning, "pixel-queue",
+                                     "src/a.cc:1", "cr\rlf\ntab\tbel\x07"}};
+    EXPECT_NE(analysis::formatJson(f).find(
+                  "\"message\": \"cr\\rlf\\ntab\\tbel\\u0007\"}"),
+              std::string::npos);
+}

@@ -358,25 +358,3 @@ TEST(QueryEngine, RunQueryFileReportsUnreadableInput)
                                      error));
     EXPECT_FALSE(error.empty());
 }
-
-TEST(QueryEngine, TableRenderers)
-{
-    query::Table table;
-    table.columns = {"stream", "count", "share"};
-    table.addRow({query::Value::str("SERVANT 0, A"),
-                  query::Value::count(3),
-                  query::Value::number(0.5)});
-
-    const std::string csv = table.toCsv();
-    EXPECT_NE(csv.find("stream,count,share"), std::string::npos);
-    EXPECT_NE(csv.find("\"SERVANT 0, A\",3,0.5"), std::string::npos);
-
-    const std::string json = table.toJson();
-    EXPECT_NE(json.find("\"stream\": \"SERVANT 0, A\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"count\": 3"), std::string::npos);
-
-    const std::string text = table.toText();
-    EXPECT_NE(text.find("stream"), std::string::npos);
-    EXPECT_NE(text.find("SERVANT 0, A"), std::string::npos);
-}

@@ -77,6 +77,7 @@
 #include "analysis/livemodel.hh"
 #include "analysis/model.hh"
 #include "analysis/protocol.hh"
+#include "trace/report.hh"
 #include "validate/scenarios.hh"
 
 using namespace supmon;
@@ -129,18 +130,6 @@ struct Options
     bool faultTolerant = false;
 };
 
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /**
  * Apply the baseline (if any), print, and map to the exit code. The
  * JSON form is one object: a "tracelint" header block (mode, the
@@ -167,10 +156,12 @@ report(std::vector<analysis::Finding> findings, const Options &opt,
         }
     }
     if (opt.json) {
+        std::string subjectJson;
+        trace::appendJsonString(subjectJson, subject);
         std::printf("{\n\"tracelint\": {\"mode\": \"%s\", "
-                    "\"subject\": \"%s\", \"suppressed\": %zu%s%s},\n"
+                    "\"subject\": %s, \"suppressed\": %zu%s%s},\n"
                     "\"findings\": %s}\n",
-                    opt.mode.c_str(), jsonEscape(subject).c_str(),
+                    opt.mode.c_str(), subjectJson.c_str(),
                     suppressed, extraHeader.empty() ? "" : ", ",
                     extraHeader.c_str(),
                     analysis::formatJson(findings).c_str());

@@ -54,6 +54,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <fcntl.h>
@@ -68,6 +69,7 @@
 #include "query/incremental.hh"
 #include "query/sharded.hh"
 #include "sim/logging.hh"
+#include "trace/report.hh"
 #include "validate/concurrent.hh"
 #include "validate/scenarios.hh"
 
@@ -95,6 +97,13 @@ usage(const char *argv0)
     return 2;
 }
 
+/** Write @p bytes to stdout in one call. */
+void
+writeOut(std::string_view bytes)
+{
+    std::fwrite(bytes.data(), 1, bytes.size(), stdout);
+}
+
 int
 queryFiles(const std::vector<std::string> &paths,
            const query::Query &parsed, query::OutputFormat format,
@@ -107,6 +116,9 @@ queryFiles(const std::vector<std::string> &paths,
     // buffered per file and printed in argument order so the result
     // is byte-identical to a serial run.
     const unsigned perFileJobs = paths.size() > 1 ? 1 : jobs;
+    const bool json = format == query::OutputFormat::Json;
+    // JSON wraps each file's rows: headers[i] + rendered[i] + "}".
+    std::vector<std::string> headers(paths.size());
     std::vector<std::string> rendered(paths.size());
     std::vector<std::string> errors(paths.size());
     parallel::forEachIndex(
@@ -118,17 +130,15 @@ queryFiles(const std::vector<std::string> &paths,
                                             errors[i], trace_end,
                                             &seed))
                 return;
-            if (format == query::OutputFormat::Json) {
+            rendered[i] = table.render(format);
+            if (json) {
                 // Header block: tie the rows to the run that
                 // produced them (the .smtr v2 reproducibility seed).
-                rendered[i] = sim::strprintf(
-                    "{\n\"trace\": {\"path\": \"%s\", "
-                    "\"seed\": %llu},\n\"rows\": %s}\n",
-                    paths[i].c_str(),
-                    static_cast<unsigned long long>(seed),
-                    table.toJson().c_str());
-            } else {
-                rendered[i] = table.render(format);
+                std::string &head = headers[i];
+                head = "{\n\"trace\": {\"path\": ";
+                trace::appendJsonString(head, paths[i]);
+                head += ", \"seed\": " + std::to_string(seed) +
+                        "},\n\"rows\": ";
             }
         });
     int status = 0;
@@ -141,19 +151,12 @@ queryFiles(const std::vector<std::string> &paths,
         if (paths.size() > 1 &&
             format == query::OutputFormat::Text)
             std::printf("== %s\n", paths[i].c_str());
-        std::printf("%s", rendered[i].c_str());
+        writeOut(headers[i]);
+        writeOut(rendered[i]);
+        if (json)
+            writeOut("}\n");
     }
     return status;
-}
-
-/** Strip the header line of a rendered text/CSV partial so repeated
- *  window emissions read as one continuous table. */
-std::string
-withoutHeaderLine(const std::string &rendered)
-{
-    const std::size_t eol = rendered.find('\n');
-    return eol == std::string::npos ? rendered
-                                    : rendered.substr(eol + 1);
 }
 
 /** Attach to a live stream: a tracemond socket (subscribe to every
@@ -192,10 +195,15 @@ followStream(const std::string &path, const query::Query &parsed,
 
     bool printedPartial = false;
     const auto onRows = [&](const query::Table &partial) {
-        std::string rendered = partial.render(format);
-        if (printedPartial && format != query::OutputFormat::Json)
-            rendered = withoutHeaderLine(rendered);
-        std::printf("%s", rendered.c_str());
+        const std::string rendered = partial.render(format);
+        std::string_view out = rendered;
+        // Text and CSV partials after the first drop their header
+        // line, so repeated window emissions read as one table.
+        const std::size_t eol = rendered.find('\n');
+        if (printedPartial && format != query::OutputFormat::Json &&
+            eol != std::string::npos)
+            out.remove_prefix(eol + 1);
+        writeOut(out);
         std::fflush(stdout);
         printedPartial = true;
     };
@@ -266,7 +274,7 @@ followStream(const std::string &path, const query::Query &parsed,
     const query::Table table = engine.finish();
     if (format == query::OutputFormat::Text && printedPartial)
         std::printf("== final\n");
-    std::printf("%s", table.render(format).c_str());
+    writeOut(table.render(format));
     return done || lastError.empty() ? 0 : 1;
 }
 
@@ -316,7 +324,7 @@ queryScenarios(const std::string &which, const query::Query &parsed,
             std::printf("== %s\n", scenario->name.c_str());
         const query::Table table = query::runQuery(
             result.events, result.dictionary, effective, trace_end);
-        std::printf("%s", table.render(format).c_str());
+        writeOut(table.render(format));
     }
     return 0;
 }
