@@ -11,7 +11,7 @@
  * Each pipeline shape is timed through runQueryFile (the `serial`
  * rows: the sharded executor with one shard, as the CLI runs by
  * default) and through runQueryFileSharded at 1, 2 and 4 jobs
- * (zero-copy mmap blocks, fused decode+filter, arena folds — see
+ * (256 KiB pread blocks, fused decode+filter, arena folds — see
  * ARCHITECTURE.md §11). The jobs=4 scaling and jobs=4-vs-serial
  * ratios are reported as context only; they gate nothing, because
  * the usable core count of the host bounds them, not the code.

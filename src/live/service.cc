@@ -298,10 +298,12 @@ setNonBlocking(int fd)
 
 LiveService::LiveService(ServiceConfig config)
     : cfg(std::move(config)),
+      archiveOptions{true, cfg.archiveCommitInterval, cfg.archiveFsync,
+                     cfg.archiveFailAfterRecords},
       hub(std::make_shared<SubscriberHub>())
 {
     collector = std::make_unique<Collector>(cfg.collector);
-    if (!cfg.archiveDir.empty() && cfg.resumeArchives) {
+    if (!cfg.archiveDir.empty()) {
         // Crash recovery: a previous daemon may have died
         // mid-archive. Salvage every torn tenant file now, so both
         // resumed writers and offline readers see whole records.
@@ -629,8 +631,8 @@ LiveService::handleFrame(Connection &conn, Frame &frame)
             if (nth > 1)
                 stem += sim::strprintf(".%u", nth);
             archive = std::make_shared<SmtrSink>(
-                cfg.archiveDir + "/" + stem + ".smtr",
-                session.seed);
+                cfg.archiveDir + "/" + stem + ".smtr", session.seed,
+                archiveOptions);
         }
         auto sink = std::make_shared<ForwardSink>(
             hub, session.tenant, session.seed,
@@ -772,8 +774,7 @@ LiveService::completeResume(Connection &conn, const Frame &frame)
     std::shared_ptr<EventSink> archiveSink;
     std::shared_ptr<TenantArchive> shared;
     if (!cfg.archiveDir.empty()) {
-        if (session.policy == Backpressure::Block &&
-            cfg.resumeArchives) {
+        if (session.policy == Backpressure::Block) {
             // Resume the tenant file: block policy keeps the archive
             // exactly the producer's record sequence, so the file
             // picks up where the salvaged count stopped.
@@ -786,12 +787,12 @@ LiveService::completeResume(Connection &conn, const Frame &frame)
                     slot->writer =
                         std::make_unique<trace::TraceWriter>(
                             trace::ResumeExisting{}, path,
-                            cfg.archiveWriter);
+                            archiveOptions);
                 if (!slot->writer || !slot->writer->ok())
                     // Missing or unrecoverable: start fresh.
                     slot->writer =
                         std::make_unique<trace::TraceWriter>(
-                            path, session.seed, cfg.archiveWriter);
+                            path, session.seed, archiveOptions);
                 tenantRecvSeq[stem] = slot->writer->written();
                 tenantOpens[stem] =
                     std::max(tenantOpens[stem], 1u);
@@ -809,7 +810,7 @@ LiveService::completeResume(Connection &conn, const Frame &frame)
                 fileStem += sim::strprintf(".%u", nth);
             archiveSink = std::make_shared<SmtrSink>(
                 cfg.archiveDir + "/" + fileStem + ".smtr",
-                session.seed);
+                session.seed, archiveOptions);
         }
     }
     auto sink = std::make_shared<ForwardSink>(

@@ -63,18 +63,19 @@ struct ServiceConfig
     /** Ingest FIFOs: each carries one producer frame stream. */
     std::vector<std::string> fifoPaths;
     /** Archive delivered streams as <dir>/<tenant>.smtr ("" = no
-     *  archive). */
+     *  archive). Every archive is journaled, so a killed daemon
+     *  leaves a salvageable file: on startup the daemon repairs the
+     *  torn archives in the directory (trace::recoverTruncated), and
+     *  HelloResume producers with block policy continue the existing
+     *  tenant file instead of collision-suffixing a new one. */
     std::string archiveDir;
-    /** Journal policy of tenant archives: journaled by default, so a
-     *  killed daemon leaves a salvageable file (see
-     *  trace::WriterOptions). failAfterRecords is the chaos
-     *  harness's ENOSPC hook. */
-    trace::WriterOptions archiveWriter{true, 4096, false, 0};
-    /** On startup, scan archiveDir, repair torn archives
-     *  (trace::recoverTruncated) and let HelloResume producers with
-     *  block policy continue the existing tenant file instead of
-     *  collision-suffixing a new one. */
-    bool resumeArchives = true;
+    /** Records between journal commits of every archive. */
+    std::uint64_t archiveCommitInterval = 4096;
+    /** fdatasync(2) on every archive commit. */
+    bool archiveFsync = false;
+    /** The chaos harness's ENOSPC hook: every archive fails like a
+     *  full disk after this many records (0 = disabled). */
+    std::uint64_t archiveFailAfterRecords = 0;
     /** Resumable sessions: cumulative Ack at least every this many
      *  received events (Ping forces one). */
     std::uint64_t ackIntervalEvents = 1024;
@@ -177,6 +178,9 @@ class LiveService
     void finishArchives();
 
     ServiceConfig cfg;
+    /** The one writer policy of every archive: journaled, with
+     *  cfg's commit interval, fsync and ENOSPC hook. */
+    trace::WriterOptions archiveOptions;
     std::string errorMessage;
     std::unique_ptr<Collector> collector;
 

@@ -26,8 +26,9 @@ namespace live
 class SmtrSink : public EventSink
 {
   public:
-    SmtrSink(const std::string &path, std::uint64_t seed)
-        : writer(path, seed)
+    SmtrSink(const std::string &path, std::uint64_t seed,
+             trace::WriterOptions options = {})
+        : writer(path, seed, options)
     {
     }
 

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -51,25 +50,15 @@ constexpr std::size_t readerBlockRecords =
 static_assert(sizeof(DiskRecord) == TraceReader::recordBytes,
               "raw-block API stride must match the disk layout");
 
-struct FileCloser
-{
-    void
-    operator()(std::FILE *f) const
-    {
-        if (f)
-            std::fclose(f);
-    }
-};
-
-using File = std::unique_ptr<std::FILE, FileCloser>;
-
-/** read(2) that retries short reads and EINTR; bytes actually read. */
+/** pread(2) that retries short reads and EINTR; bytes actually
+ *  read (short only at end of file or on a device error). */
 std::size_t
-readFully(int fd, unsigned char *out, std::size_t n)
+preadFully(int fd, unsigned char *out, std::size_t n, off_t at)
 {
     std::size_t done = 0;
     while (done < n) {
-        const ssize_t got = ::read(fd, out + done, n - done);
+        const ssize_t got = ::pread(fd, out + done, n - done,
+                                    at + static_cast<off_t>(done));
         if (got < 0) {
             if (errno == EINTR)
                 continue;
@@ -80,6 +69,76 @@ readFully(int fd, unsigned char *out, std::size_t n)
         done += static_cast<std::size_t>(got);
     }
     return done;
+}
+
+/** A trace file's fixed header and the payload behind it. */
+struct Header
+{
+    std::uint32_t version = 0;
+    /** Run seed (0 for version-1 files, which carry none). */
+    std::uint64_t seed = 0;
+    /** Record count the header declares. */
+    std::uint64_t count = 0;
+    /** Header size = byte offset of record 0 (version dependent). */
+    long bytes = 0;
+    /** Whole records in the payload, by the file size. */
+    std::uint64_t records = 0;
+    /** Bytes of a partial record after the last whole one. */
+    std::uint64_t strayBytes = 0;
+};
+
+/**
+ * The one header decoder: check the magic, the version and that the
+ * file holds the whole header, then measure the payload behind it.
+ * It judges no count against the payload: the reader, the repair
+ * and the resume each apply their own policy on top.
+ * @return an empty string, or why @p path has no usable header.
+ */
+std::string
+decodeHeader(int fd, const std::string &path, Header &h)
+{
+    unsigned char raw[headerBytesV2];
+    const std::size_t got = preadFully(fd, raw, sizeof(raw), 0);
+    if (got < 4 || std::memcmp(raw, traceFileMagic, 4) != 0)
+        return "'" + path + "' is not a trace file (bad magic)";
+    if (got < 8)
+        return "'" + path + "': truncated header";
+    std::memcpy(&h.version, raw + 4, sizeof(h.version));
+    if (h.version != 1 && h.version != traceFileVersion)
+        return sim::strprintf(
+            "'%s': unsupported trace version %u (expected %u or 1)",
+            path.c_str(), h.version, traceFileVersion);
+    // Version 2 inserted the run seed between version and count;
+    // version-1 files simply have no seed (reported as 0).
+    h.bytes = h.version >= 2 ? headerBytesV2 : headerBytesV1;
+    if (got < static_cast<std::size_t>(h.bytes))
+        return "'" + path + "': truncated header";
+    if (h.version >= 2)
+        std::memcpy(&h.seed, raw + 8, sizeof(h.seed));
+    // The count is the header's last field in every version.
+    std::memcpy(&h.count, raw + h.bytes - sizeof(h.count),
+                sizeof(h.count));
+    struct stat st;
+    if (::fstat(fd, &st) != 0 ||
+        st.st_size < static_cast<off_t>(h.bytes))
+        return "'" + path + "': cannot stat";
+    const std::uint64_t payload =
+        static_cast<std::uint64_t>(st.st_size) -
+        static_cast<std::uint64_t>(h.bytes);
+    h.records = payload / sizeof(DiskRecord);
+    h.strayBytes = payload % sizeof(DiskRecord);
+    return std::string();
+}
+
+/** The one count patch: overwrite the record count, the last field
+ *  of a @p headerBytes header, in place. */
+bool
+patchCount(int fd, long headerBytes, std::uint64_t count)
+{
+    const off_t at = static_cast<off_t>(headerBytes) -
+                     static_cast<off_t>(sizeof(count));
+    return ::pwrite(fd, &count, sizeof(count), at) ==
+           static_cast<ssize_t>(sizeof(count));
 }
 
 } // namespace
@@ -144,21 +203,15 @@ TraceWriter::TraceWriter(ResumeExisting, const std::string &path,
         errorMessage = path + ": cannot reopen for appending";
         return;
     }
-    unsigned char header[headerBytesV2];
-    if (std::fread(header, 1, sizeof(header), file) !=
-        sizeof(header)) {
-        errorMessage = path + ": cannot re-read header";
-        return;
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, header + 4, sizeof(version));
-    if (version != traceFileVersion) {
+    Header h;
+    errorMessage = decodeHeader(::fileno(file), path, h);
+    if (ok() && h.version != traceFileVersion)
         errorMessage = sim::strprintf(
             "'%s': cannot resume a version-%u archive", path.c_str(),
-            version);
+            h.version);
+    if (!ok())
         return;
-    }
-    std::memcpy(&headerSeed, header + 8, sizeof(headerSeed));
+    headerSeed = h.seed;
     count = report.records;
     committedCount = report.records;
     if (std::fseek(file, 0, SEEK_END) != 0)
@@ -214,10 +267,7 @@ TraceWriter::commit()
     // append position (the stream was flushed above, so the fd and
     // the stream agree on the file contents).
     const int fd = ::fileno(file);
-    const off_t at =
-        headerBytesV2 - static_cast<off_t>(sizeof(std::uint64_t));
-    if (::pwrite(fd, &count, sizeof(count), at) !=
-        static_cast<ssize_t>(sizeof(count))) {
+    if (!patchCount(fd, headerBytesV2, count)) {
         errorMessage = "trace header count patch failed";
         return false;
     }
@@ -234,26 +284,13 @@ TraceWriter::finish()
 {
     if (!file)
         return ok();
-    std::FILE *f = file;
+    // The final count patch is a commit like any other.
+    const bool committed = commit();
+    const bool closed = std::fclose(file) == 0;
     file = nullptr;
-    bool good = ok();
-    if (good) {
-        // Patch the record count the constructor left zero.
-        if (std::fseek(f, headerBytesV2 - static_cast<long>(
-                                              sizeof(std::uint64_t)),
-                       SEEK_SET) != 0 ||
-            std::fwrite(&count, sizeof(count), 1, f) != 1) {
-            errorMessage = "trace header count patch failed";
-            good = false;
-        }
-    }
-    if (std::fclose(f) != 0 && good) {
+    if (committed && !closed)
         errorMessage = "trace file close failed";
-        good = false;
-    }
-    if (good)
-        committedCount = count;
-    return good;
+    return committed && closed;
 }
 
 RecoveryReport
@@ -265,72 +302,27 @@ recoverTruncated(const std::string &path)
         report.error = "cannot open '" + path + "' for repair";
         return report;
     }
-    unsigned char header[headerBytesV2];
-    const std::size_t got = readFully(fd, header, sizeof(header));
-    if (got < 4 || std::memcmp(header, traceFileMagic, 4) != 0) {
-        report.error =
-            "'" + path + "' is not a trace file (bad magic)";
-        ::close(fd);
-        return report;
-    }
-    std::uint32_t version = 0;
-    if (got >= 8)
-        std::memcpy(&version, header + 4, sizeof(version));
-    if (version != 1 && version != traceFileVersion) {
-        report.error = sim::strprintf(
-            "'%s': unsupported trace version %u", path.c_str(),
-            version);
-        ::close(fd);
-        return report;
-    }
-    const long headerBytes =
-        version >= 2 ? headerBytesV2 : headerBytesV1;
-    if (got < static_cast<std::size_t>(headerBytes)) {
-        // The writer died inside the fixed header; there is nothing
-        // to salvage.
-        report.error = "'" + path + "': torn header, unrecoverable";
-        ::close(fd);
-        return report;
-    }
-    const long countAt =
-        headerBytes - static_cast<long>(sizeof(std::uint64_t));
-    std::memcpy(&report.declaredBefore, header + countAt,
-                sizeof(report.declaredBefore));
-
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        report.error = "'" + path + "': cannot stat";
-        ::close(fd);
-        return report;
-    }
-    const std::uint64_t payload =
-        static_cast<std::uint64_t>(st.st_size) -
-        static_cast<std::uint64_t>(headerBytes);
-    report.records = payload / sizeof(DiskRecord);
-    report.truncatedBytes = payload % sizeof(DiskRecord);
-    if (report.truncatedBytes != 0 &&
-        ::ftruncate(fd,
-                    static_cast<off_t>(headerBytes) +
-                        static_cast<off_t>(report.records *
-                                           sizeof(DiskRecord))) != 0) {
-        report.error = "'" + path + "': cannot trim torn tail";
-        ::close(fd);
-        return report;
-    }
-    if (report.declaredBefore != report.records &&
-        ::pwrite(fd, &report.records, sizeof(report.records),
-                 countAt) !=
-            static_cast<ssize_t>(sizeof(report.records))) {
-        report.error = "'" + path + "': cannot patch record count";
-        ::close(fd);
-        return report;
-    }
-    report.repaired = report.truncatedBytes != 0 ||
-                      report.declaredBefore != report.records;
-    if (report.repaired && ::fsync(fd) != 0) {
-        report.error = "'" + path + "': fsync failed";
-        ::close(fd);
-        return report;
+    Header h;
+    report.error = decodeHeader(fd, path, h);
+    if (report.ok()) {
+        report.declaredBefore = h.count;
+        report.records = h.records;
+        report.truncatedBytes = h.strayBytes;
+        report.repaired = h.strayBytes != 0 || h.count != h.records;
+        // Trim a torn tail, then declare every whole record present:
+        // records past a stale count are self-contained, so they are
+        // adopted, not dropped.
+        if (h.strayBytes != 0 &&
+            ::ftruncate(fd, static_cast<off_t>(h.bytes) +
+                                static_cast<off_t>(
+                                    h.records * sizeof(DiskRecord))) !=
+                0)
+            report.error = "'" + path + "': cannot trim torn tail";
+        else if (h.count != h.records &&
+                 !patchCount(fd, h.bytes, h.records))
+            report.error = "'" + path + "': cannot patch record count";
+        else if (report.repaired && ::fsync(fd) != 0)
+            report.error = "'" + path + "': fsync failed";
     }
     ::close(fd);
     return report;
@@ -344,92 +336,39 @@ SharedTraceFile::SharedTraceFile(const std::string &path)
         errorMessage = "cannot open '" + path + "'";
         return;
     }
-    unsigned char header[headerBytesV2];
-    const std::size_t got = readFully(fd, header, sizeof(header));
-    if (got < 4 ||
-        std::memcmp(header, traceFileMagic, 4) != 0) {
-        errorMessage = "'" + path + "' is not a trace file (bad magic)";
+    Header h;
+    errorMessage = decodeHeader(fd, path, h);
+    if (!ok())
         return;
-    }
-    std::uint32_t version = 0;
-    if (got < 8) {
-        errorMessage = "'" + path + "': truncated header";
-        return;
-    }
-    std::memcpy(&version, header + 4, sizeof(version));
-    if (version != 1 && version != traceFileVersion) {
-        errorMessage = sim::strprintf(
-            "'%s': unsupported trace version %u (expected %u or 1)",
-            path.c_str(), version, traceFileVersion);
-        return;
-    }
-    // Version 2 inserted the run seed between version and count;
-    // version-1 files simply have no seed (reported as 0).
-    headerBytes = version >= 2 ? headerBytesV2 : headerBytesV1;
-    if (got < static_cast<std::size_t>(headerBytes)) {
-        errorMessage = "'" + path + "': truncated header";
-        return;
-    }
-    if (version >= 2) {
-        std::memcpy(&headerSeed, header + 8, sizeof(headerSeed));
-        std::memcpy(&count, header + 16, sizeof(count));
-    } else {
-        std::memcpy(&count, header + 8, sizeof(count));
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0 ||
-        st.st_size < static_cast<off_t>(headerBytes)) {
-        errorMessage = "'" + path + "': cannot stat";
-        return;
-    }
     // Validate the declared count against the real file size before
     // anyone trusts it (a flipped count byte must not over-read the
     // file or drive a multi-gigabyte reserve in loadTrace()).
-    const std::uint64_t payload =
-        static_cast<std::uint64_t>(st.st_size) -
-        static_cast<std::uint64_t>(headerBytes);
-    if (count > payload / sizeof(DiskRecord)) {
+    if (h.count > h.records) {
         errorMessage = sim::strprintf(
             "'%s': header declares %llu records but only %llu fit in "
             "the file (truncated or corrupt)",
-            path.c_str(), static_cast<unsigned long long>(count),
-            static_cast<unsigned long long>(payload /
-                                            sizeof(DiskRecord)));
+            path.c_str(), static_cast<unsigned long long>(h.count),
+            static_cast<unsigned long long>(h.records));
         return;
     }
     // A file that is *longer* than the count implies may carry whole
     // appended records (ignored), but never a partial one: a ragged
     // tail means the writer died mid-record or the file is corrupt.
-    if (payload % sizeof(DiskRecord) != 0) {
+    if (h.strayBytes != 0) {
         errorMessage = sim::strprintf(
             "'%s': file ends in a partial record (%llu stray bytes "
             "after the last whole record; truncated or corrupt)",
             path.c_str(),
-            static_cast<unsigned long long>(payload %
-                                            sizeof(DiskRecord)));
+            static_cast<unsigned long long>(h.strayBytes));
         return;
     }
-    // Map the validated file read-only: reader views then decode
-    // straight from the page cache instead of copying every block
-    // through a pread buffer. Failure is not an error — readers
-    // fall back to readRecords().
-    if (st.st_size > 0) {
-        void *m = ::mmap(nullptr,
-                         static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        if (m != MAP_FAILED) {
-            mapBase = m;
-            mapLength = static_cast<std::size_t>(st.st_size);
-            mapRecords =
-                static_cast<const unsigned char *>(m) + headerBytes;
-        }
-    }
+    headerBytes = h.bytes;
+    count = h.count;
+    headerSeed = h.seed;
 }
 
 SharedTraceFile::~SharedTraceFile()
 {
-    if (mapBase)
-        ::munmap(mapBase, mapLength);
     if (fd >= 0)
         ::close(fd);
 }
@@ -442,23 +381,12 @@ SharedTraceFile::readRecords(std::uint64_t first, std::size_t n,
         return 0;
     n = static_cast<std::size_t>(
         std::min<std::uint64_t>(n, count - first));
-    const std::size_t want = n * sizeof(DiskRecord);
-    std::size_t done = 0;
-    off_t offset = static_cast<off_t>(headerBytes) +
-                   static_cast<off_t>(first * sizeof(DiskRecord));
-    while (done < want) {
-        const ssize_t got = ::pread(fd, out + done, want - done,
-                                    offset + static_cast<off_t>(done));
-        if (got < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (got == 0)
-            break; // file shrank after validation
-        done += static_cast<std::size_t>(got);
-    }
-    return done / sizeof(DiskRecord);
+    const off_t at = static_cast<off_t>(headerBytes) +
+                     static_cast<off_t>(first * sizeof(DiskRecord));
+    // Short only if the file shrank after validation or the device
+    // failed; a torn last record is not delivered.
+    return preadFully(fd, out, n * sizeof(DiskRecord), at) /
+           sizeof(DiskRecord);
 }
 
 TraceReader::TraceReader(const std::string &path)
@@ -503,18 +431,12 @@ TraceReader::fillBuffer()
     const std::uint64_t remaining = limit - read;
     if (remaining == 0)
         return false;
+    if (buffer.empty())
+        buffer.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
+                          limit, readerBlockRecords)) *
+                      sizeof(DiskRecord));
     const std::size_t want = static_cast<std::size_t>(
         std::min<std::uint64_t>(remaining, readerBlockRecords));
-    if (const unsigned char *mapped = source->mappedRecords()) {
-        // Zero-copy refill: the window is the mapping itself (the
-        // file size was validated against the record count at open,
-        // so the whole view is in bounds).
-        window = mapped + (baseRecord + read) * sizeof(DiskRecord);
-        bufferedRecords = want;
-        return true;
-    }
-    if (buffer.empty())
-        buffer.resize(readerBlockRecords * sizeof(DiskRecord));
     const std::size_t got =
         source->readRecords(baseRecord + read, want, buffer.data());
     if (got == 0) {
@@ -528,7 +450,6 @@ TraceReader::fillBuffer()
             static_cast<unsigned long long>(count));
         return false;
     }
-    window = buffer.data();
     bufferedRecords = got;
     return true;
 }
@@ -562,7 +483,7 @@ TraceReader::nextRawBlock(const unsigned char *&bytes)
             return 0;
     }
     const std::size_t run = bufferedRecords - bufferNext;
-    bytes = window + bufferNext * sizeof(DiskRecord);
+    bytes = buffer.data() + bufferNext * sizeof(DiskRecord);
     bufferNext = bufferedRecords;
     read += run;
     return run;
@@ -575,7 +496,7 @@ TraceReader::next(TraceEvent &ev)
         if (!ok() || !fillBuffer())
             return false;
     }
-    decodeRecord(window + bufferNext * sizeof(DiskRecord), ev);
+    decodeRecord(buffer.data() + bufferNext * sizeof(DiskRecord), ev);
     ++bufferNext;
     ++read;
     return true;
@@ -593,7 +514,7 @@ TraceReader::nextBatch(TraceEvent *out, std::size_t max)
         const std::size_t run = std::min(
             max - produced, bufferedRecords - bufferNext);
         const unsigned char *src =
-            window + bufferNext * sizeof(DiskRecord);
+            buffer.data() + bufferNext * sizeof(DiskRecord);
         for (std::size_t i = 0; i < run; ++i)
             decodeRecord(src + i * sizeof(DiskRecord),
                          out[produced + i]);

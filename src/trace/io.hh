@@ -183,7 +183,8 @@ class TraceWriter
         return headerSeed;
     }
 
-    /** Patch the header record count, flush and close. Idempotent.
+    /** commit() the final record count and close (with
+     *  fsyncOnCommit, that commit fdatasyncs too). Idempotent.
      *  @return false on I/O failure (error() says why). */
     bool finish();
 
@@ -249,14 +250,16 @@ std::optional<std::vector<TraceEvent>> loadTrace(
  * A validated trace file opened for positional reads: the one fd the
  * sharded query executor shares across its worker threads.
  *
- * The header is validated on open exactly like TraceReader used to do
- * per instance (magic, version, declared count against the real file
- * size, whole-record payload), so a corrupt count can neither
- * over-read the file nor drive a huge allocation, and a ragged tail
- * is rejected up front. After that every read goes through pread(2)
- * at an explicit record offset — no shared file position, no locking
- * — so any number of TraceReader views can stream disjoint record
- * ranges of the same SharedTraceFile concurrently.
+ * The header is validated on open (magic, version, declared count
+ * against the real file size, whole-record payload), so a corrupt
+ * count can neither over-read the file nor drive a huge allocation,
+ * and a ragged tail is rejected up front. After that every read goes
+ * through pread(2) at an explicit record offset — no shared file
+ * position, no locking — so any number of TraceReader views can
+ * stream disjoint record ranges of the same SharedTraceFile
+ * concurrently. The file is never mapped: a file that shrinks under
+ * a reader ends in a short read, which the reader reports as an
+ * error, never in a fault.
  */
 class SharedTraceFile
 {
@@ -311,21 +314,6 @@ class SharedTraceFile
     std::size_t readRecords(std::uint64_t first, std::size_t n,
                             unsigned char *out) const;
 
-    /**
-     * Zero-copy view of record 0 when the validated file is
-     * memory-mapped (the normal case): reader views decode straight
-     * from the page cache instead of copying every block through a
-     * pread buffer. nullptr when the mapping is unavailable, in
-     * which case reads fall back to readRecords(). Read-only and
-     * position-free, so it is shared by concurrent readers exactly
-     * like the pread path.
-     */
-    const unsigned char *
-    mappedRecords() const
-    {
-        return mapRecords;
-    }
-
   private:
     std::string filePath;
     std::string errorMessage;
@@ -334,10 +322,6 @@ class SharedTraceFile
     long headerBytes = 0;
     std::uint64_t count = 0;
     std::uint64_t headerSeed = 0;
-    /** Read-only whole-file mapping (null if mmap failed). */
-    void *mapBase = nullptr;
-    std::size_t mapLength = 0;
-    const unsigned char *mapRecords = nullptr;
 };
 
 /**
@@ -347,18 +331,19 @@ class SharedTraceFile
  * src/query/ runs on top of this).
  *
  * Reads are block-buffered positional reads: the reader issues one
- * large pread per block (not one stdio round trip per 24-byte
- * record) and decodes records straight out of the block buffer, so
- * the per-record cost is a couple of loads. nextBatch() additionally
- * amortizes the per-record call overhead for bulk consumers.
+ * 256 KiB SharedTraceFile::readRecords() pread per block (not one
+ * stdio round trip per 24-byte record) into its own buffer and
+ * decodes records straight out of it, so the per-record cost is a
+ * couple of loads. nextBatch() additionally amortizes the per-record
+ * call overhead for bulk consumers.
  *
  * The header is validated on construction (magic, version, and the
  * declared record count against the actual file size, so a corrupt
  * count can neither over-read nor drive a huge allocation; a file
  * that ends in a partial record is rejected even when the declared
  * records all fit); every refill bounds-checks the record read, and
- * a file truncated mid-record surfaces as an error message instead
- * of a short trace.
+ * a file truncated mid-record — or shrunk while being read — surfaces
+ * as an error message instead of a short trace.
  *
  * The range constructor opens a *view* of records
  * [first, first + n): the header is validated exactly as for a whole
@@ -475,14 +460,15 @@ class TraceReader
 
     /**
      * Borrow the reader's next block of raw on-disk records instead
-     * of decoding them: @p bytes is set to the first record and the
-     * return value is the number of whole records behind it (spaced
-     * recordBytes apart), all consumed from this reader's view. The
-     * pointer is valid until the next read call. Decode fields with
-     * decodeRecord(). This is the zero-copy half of the batch filter
-     * stage: a caller can decode each record into a register-resident
-     * TraceEvent, apply a predicate, and materialize survivors only,
-     * instead of writing every record to a batch array first.
+     * of decoding them: @p bytes is set to the first record in the
+     * block buffer and the return value is the number of whole
+     * records behind it (spaced recordBytes apart), all consumed
+     * from this reader's view. The pointer is valid until the next
+     * read call. Decode fields with decodeRecord(). This is the
+     * fused half of the batch filter stage: a caller can decode each
+     * record into a register-resident TraceEvent, apply a predicate,
+     * and materialize survivors only, instead of writing every
+     * record to a batch array first.
      * @return 0 at end of view or on error (check error()).
      */
     std::size_t nextRawBlock(const unsigned char *&bytes);
@@ -508,12 +494,9 @@ class TraceReader
     std::uint64_t baseRecord = 0;
     std::uint64_t read = 0;
     std::uint64_t headerSeed = 0;
-    /** Block buffer: raw on-disk records, decoded lazily. Unused
-     *  (empty) when the source file is memory-mapped. */
+    /** Block buffer: raw on-disk records, decoded lazily; sized on
+     *  the first refill to one block or the whole view if smaller. */
     std::vector<unsigned char> buffer;
-    /** The current block's records: into the file mapping
-     *  (zero copy) or into `buffer` (pread fallback). */
-    const unsigned char *window = nullptr;
     std::size_t bufferedRecords = 0;
     std::size_t bufferNext = 0;
 };

@@ -117,7 +117,7 @@ TEST(ChaosEndToEnd, GoldenScenariosSurviveTheFaultPlanByteIdentically)
         scfg.archiveDir = archiveDir;
         scfg.tcpPort = 0;
         scfg.ackIntervalEvents = 64;
-        scfg.archiveWriter.commitInterval = 128;
+        scfg.archiveCommitInterval = 128;
         auto service = std::make_unique<live::LiveService>(scfg);
         ASSERT_TRUE(service->ok()) << service->error();
         std::thread loop([&service] { service->run(); });
@@ -212,7 +212,7 @@ TEST(ChaosEndToEnd, SigkilledDaemonRestartsWithNothingLost)
     scfg.archiveDir = archiveDir;
     scfg.tcpPort = 0;
     scfg.ackIntervalEvents = 8;
-    scfg.archiveWriter.commitInterval = 16;
+    scfg.archiveCommitInterval = 16;
 
     // The victim daemon runs in a child process so a real SIGKILL
     // can hit it mid-stream; it reports its ephemeral port through a
@@ -314,9 +314,9 @@ TEST(ChaosEndToEnd, EnospcFreezesTheArchiveWhileTheProducerSpools)
     scfg.archiveDir = archiveDir;
     scfg.tcpPort = 0;
     scfg.ackIntervalEvents = 8;
-    scfg.archiveWriter.commitInterval = 16;
-    scfg.archiveWriter.failAfterRecords = faults::enospcAfter(plan);
-    ASSERT_EQ(scfg.archiveWriter.failAfterRecords, 100u);
+    scfg.archiveCommitInterval = 16;
+    scfg.archiveFailAfterRecords = faults::enospcAfter(plan);
+    ASSERT_EQ(scfg.archiveFailAfterRecords, 100u);
     live::LiveService service(scfg);
     ASSERT_TRUE(service.ok()) << service.error();
     std::thread loop([&service] { service.run(); });

@@ -441,6 +441,80 @@ TEST(LiveServiceEndToEnd, TcpResumeSessionAcksAndArchives)
         EXPECT_EQ((*loaded)[i], events[i]);
 }
 
+TEST(LiveServiceEndToEnd, ShedPolicyArchivesCommitWhileTheSessionIsOpen)
+{
+    // Every archive the daemon writes is journaled with the daemon's
+    // one commit interval, per-connection (shed-policy) archives
+    // included: a reader sees committed records before Bye.
+    const test::ScratchDir scratch;
+    const std::string dir = scratch.path();
+    const std::string socketPath = dir + "/live-shed.sock";
+    const std::string archiveDir = dir + "/live-shed-archive";
+    ::mkdir(archiveDir.c_str(), 0700);
+
+    live::ServiceConfig cfg;
+    cfg.socketPath = socketPath;
+    cfg.archiveDir = archiveDir;
+    cfg.archiveCommitInterval = 16;
+    live::LiveService service(cfg);
+    ASSERT_TRUE(service.ok()) << service.error();
+    std::thread loop([&service] { service.run(); });
+
+    std::vector<trace::TraceEvent> events;
+    for (std::uint64_t i = 0; i < 40; ++i)
+        events.push_back(eventNumber(i));
+    // Policy byte 2 = shed-newest, 3 = shed-oldest: both open a fresh
+    // archive per connection, whether the producer resumes or not.
+    const int resumed = live::connectUnix(socketPath);
+    const int plain = live::connectUnix(socketPath);
+    ASSERT_GE(resumed, 0);
+    ASSERT_GE(plain, 0);
+    {
+        std::vector<unsigned char> bytes;
+        live::encodeHelloResume(bytes, "delta", 5, 3, 0);
+        live::encodeSeqEvents(bytes, 1, events.data(), events.size());
+        ASSERT_TRUE(
+            live::writeFully(resumed, bytes.data(), bytes.size()));
+        bytes.clear();
+        live::encodeHello(bytes, "echo", 6, 2);
+        live::encodeEvents(bytes, events.data(), events.size());
+        ASSERT_TRUE(live::writeFully(plain, bytes.data(), bytes.size()));
+    }
+
+    // No Bye yet: both sessions stay open while the collector
+    // archives their records.
+    for (const char *tenant : {"delta", "echo"}) {
+        const std::string path =
+            archiveDir + "/" + std::string(tenant) + ".smtr";
+        std::uint64_t declared = 0;
+        for (int tries = 0;
+             tries < 500 && declared < cfg.archiveCommitInterval;
+             ++tries) {
+            if (tries > 0)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+            const trace::SharedTraceFile file(path);
+            if (file.ok())
+                declared = file.recordCount();
+        }
+        EXPECT_GE(declared, cfg.archiveCommitInterval) << tenant;
+    }
+
+    {
+        std::vector<unsigned char> bye;
+        live::encodeBye(bye);
+        ASSERT_TRUE(live::writeFully(resumed, bye.data(), bye.size()));
+        ASSERT_TRUE(live::writeFully(plain, bye.data(), bye.size()));
+    }
+    ::close(resumed);
+    ::close(plain);
+    ASSERT_TRUE(
+        statsEventually(socketPath, "\"sessions_retired\": 2"));
+    service.requestStop();
+    loop.join();
+    EXPECT_TRUE(service.ok()) << service.error();
+}
+
 TEST(LiveServiceEndToEnd, FifoCarriesAProducerStream)
 {
     const test::ScratchDir scratch;

@@ -3,7 +3,8 @@
  * Fuzzing the trace-file ingestion surface: seeded corruptions of a
  * valid .smtr file — truncations, bit flips, header mutations, raw
  * garbage, partial-record tails — fed to every reader entry point
- * (loadTrace, streaming TraceReader, the sharded query executor).
+ * (loadTrace, streaming TraceReader, the sharded query executor),
+ * and the header mutations fed to the repair and resume paths too.
  * The contract under attack is "clean error or clean result, never a
  * crash": a corrupt file must surface as a non-empty error message
  * (or parse as a shorter-but-valid trace when the damage lands in
@@ -11,15 +12,26 @@
  * the suite runs under the ASan/UBSan CI job to make those
  * properties machine-checked rather than aspirational.
  *
- * Everything is seeded, so any failure replays deterministically.
+ * The same contract holds for a file that changes while it is read:
+ * truncated, re-saved in place or renamed over under an open reader
+ * or a running sharded query, a trace ends in a clean result or a
+ * "truncated" error, never in a signal.
+ *
+ * Everything is seeded, so any failure replays deterministically
+ * (the concurrent truncation's timing aside).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "query/engine.hh"
 #include "query/sharded.hh"
@@ -154,6 +166,60 @@ exerciseReaders(const std::string &path, const std::string &what)
     }
 }
 
+/** One-byte header mutations of a saved 50-event trace (whose count
+ *  low byte is 50). */
+const struct
+{
+    const char *what;
+    std::size_t offset;
+    unsigned char value;
+    const char *expectError; // substring of reader.error()
+} headerCases[] = {
+    {"magic byte 0", 0, 'X', "bad magic"},
+    {"magic byte 3", 3, 0x00, "bad magic"},
+    {"future version", 4, 0x7f, "version"},
+    {"version zero", 4, 0x00, "version"},
+    // Count low byte +1: declared records exceed the payload.
+    {"count grown", 16, 51, "truncated"},
+};
+
+/** Records per read block of a TraceReader (256 KiB). */
+constexpr std::size_t blockRecords =
+    (256 * 1024) / trace::TraceReader::recordBytes;
+
+/** Cut @p path to @p bytes with ftruncate(2) on a descriptor of its
+ *  own, as another process would. */
+bool
+truncateFile(const std::string &path, std::uint64_t bytes)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    const bool cut = ::ftruncate(fd, static_cast<off_t>(bytes)) == 0;
+    return ::close(fd) == 0 && cut;
+}
+
+/** Byte length of a v2 trace holding @p records records. */
+std::uint64_t
+traceBytes(std::uint64_t records)
+{
+    return 24 + records * trace::TraceReader::recordBytes;
+}
+
+/** Read the rest of @p reader, whose file shrank under it: it must
+ *  end in the truncation error before the end of its view. */
+void
+expectTruncatedEnd(trace::TraceReader &reader, const char *what)
+{
+    TraceEvent ev;
+    while (reader.next(ev)) {
+    }
+    EXPECT_NE(reader.error().find("truncated mid-record"),
+              std::string::npos)
+        << what << ": " << reader.error();
+    EXPECT_LT(reader.recordsRead(), reader.rangeLength()) << what;
+}
+
 } // namespace
 
 TEST(ReaderFuzz, DeterministicHeaderCorruptions)
@@ -165,23 +231,9 @@ TEST(ReaderFuzz, DeterministicHeaderCorruptions)
     std::vector<unsigned char> good;
     ASSERT_TRUE(readFile(path, good));
     ASSERT_GE(good.size(), 24u);
+    ASSERT_EQ(good[16], 50);
 
-    const struct
-    {
-        const char *what;
-        std::size_t offset;
-        unsigned char value;
-        const char *expectError; // substring of reader.error()
-    } cases[] = {
-        {"magic byte 0", 0, 'X', "bad magic"},
-        {"magic byte 3", 3, 0x00, "bad magic"},
-        {"future version", 4, 0x7f, "version"},
-        {"version zero", 4, 0x00, "version"},
-        // Count low byte +1: declared records exceed the payload.
-        {"count grown", 16,
-         static_cast<unsigned char>(good[16] + 1), "truncated"},
-    };
-    for (const auto &c : cases) {
+    for (const auto &c : headerCases) {
         auto bytes = good;
         bytes[c.offset] = c.value;
         ASSERT_TRUE(writeFile(path, bytes));
@@ -309,4 +361,222 @@ TEST(ReaderFuzz, MissingAndEmptyFiles)
     trace::TraceReader reader(path);
     EXPECT_FALSE(reader.ok());
     exerciseReaders(path, "empty file");
+}
+
+TEST(ReaderFuzz, HeaderCorruptionsFailRepairAndResumeUntouched)
+{
+    // recoverTruncated() and TraceWriter(ResumeExisting) decode the
+    // header with the reader's decoder: every header the reader
+    // rejects, and every torn header, is an error for them as well,
+    // and they leave the file's bytes as they found them.
+    const test::ScratchDir dir;
+    const std::string path = dir.path("header.smtr");
+    const auto events = validEvents(50, 1);
+    ASSERT_TRUE(trace::saveTrace(path, events, 77));
+    std::vector<unsigned char> good;
+    ASSERT_TRUE(readFile(path, good));
+    ASSERT_EQ(good[16], 50);
+
+    std::vector<std::pair<std::string, std::vector<unsigned char>>>
+        damaged;
+    for (const auto &c : headerCases) {
+        if (c.offset == 16)
+            continue; // count grown: repaired, below
+        auto bytes = good;
+        bytes[c.offset] = c.value;
+        damaged.emplace_back(c.what, bytes);
+    }
+    for (std::size_t len = 0; len < 24; ++len)
+        damaged.emplace_back(
+            "torn header of " + std::to_string(len) + " bytes",
+            std::vector<unsigned char>(good.begin(),
+                                       good.begin() + len));
+
+    std::vector<unsigned char> after;
+    for (const auto &[what, bytes] : damaged) {
+        ASSERT_TRUE(writeFile(path, bytes));
+        const auto report = trace::recoverTruncated(path);
+        EXPECT_FALSE(report.ok()) << what;
+        EXPECT_FALSE(report.repaired) << what;
+        ASSERT_TRUE(readFile(path, after));
+        EXPECT_EQ(after, bytes) << what << ": repair changed the file";
+        {
+            trace::TraceWriter writer(trace::ResumeExisting{}, path);
+            EXPECT_FALSE(writer.ok()) << what;
+            EXPECT_FALSE(writer.error().empty()) << what;
+            EXPECT_FALSE(writer.append(events.data(), 1)) << what;
+        }
+        ASSERT_TRUE(readFile(path, after));
+        EXPECT_EQ(after, bytes) << what << ": resume changed the file";
+    }
+
+    // A count grown past the payload is the one header the repair
+    // mends: it patches the count back to the whole records present.
+    auto grown = good;
+    grown[16] = 51;
+    ASSERT_TRUE(writeFile(path, grown));
+    const auto report = trace::recoverTruncated(path);
+    ASSERT_TRUE(report.ok()) << report.error;
+    EXPECT_TRUE(report.repaired);
+    EXPECT_EQ(report.declaredBefore, 51u);
+    EXPECT_EQ(report.records, events.size());
+    ASSERT_TRUE(readFile(path, after));
+    EXPECT_EQ(after, good);
+
+    // A resume repairs it the same way and carries on after record 50.
+    ASSERT_TRUE(writeFile(path, grown));
+    {
+        trace::TraceWriter writer(trace::ResumeExisting{}, path);
+        ASSERT_TRUE(writer.ok()) << writer.error();
+        EXPECT_EQ(writer.written(), events.size());
+        EXPECT_EQ(writer.seed(), 77u);
+    }
+    ASSERT_TRUE(readFile(path, after));
+    EXPECT_EQ(after, good);
+}
+
+TEST(ReaderTruncation, FtruncateUnderAWholeFileReader)
+{
+    const test::ScratchDir dir;
+    const std::string path = dir.path("shrink.smtr");
+    const auto events = validEvents(3 * blockRecords + 100, 4);
+    ASSERT_TRUE(trace::saveTrace(path, events));
+
+    trace::TraceReader reader(path);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    const unsigned char *raw = nullptr;
+    ASSERT_EQ(reader.nextRawBlock(raw), blockRecords);
+    ASSERT_TRUE(truncateFile(path, traceBytes(1000)));
+    expectTruncatedEnd(reader, "ftruncate to 1000 records");
+}
+
+TEST(ReaderTruncation, ResaveInPlaceUnderAWholeFileReader)
+{
+    // saveTrace opens the path "wb": the file is cut to zero bytes,
+    // then rewritten shorter than the reader's first block.
+    const test::ScratchDir dir;
+    const std::string path = dir.path("resave.smtr");
+    const auto events = validEvents(3 * blockRecords + 100, 5);
+    ASSERT_TRUE(trace::saveTrace(path, events));
+
+    trace::TraceReader reader(path);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    std::vector<TraceEvent> batch(4096);
+    ASSERT_EQ(reader.nextBatch(batch.data(), batch.size()),
+              batch.size());
+    ASSERT_TRUE(trace::saveTrace(
+        path, std::vector<TraceEvent>(events.begin(),
+                                      events.begin() + 1000)));
+    expectTruncatedEnd(reader, "re-saved with 1000 records");
+}
+
+TEST(ReaderTruncation, FtruncateUnderTwoBorrowedRangeViews)
+{
+    const test::ScratchDir dir;
+    const std::string path = dir.path("views.smtr");
+    const auto events = validEvents(3 * blockRecords + 100, 6);
+    ASSERT_TRUE(trace::saveTrace(path, events));
+
+    const trace::SharedTraceFile file(path);
+    ASSERT_TRUE(file.ok()) << file.error();
+    const std::uint64_t half = file.recordCount() / 2;
+    trace::TraceReader low(file, 0, half);
+    trace::TraceReader high(file, half, file.recordCount() - half);
+    const unsigned char *raw = nullptr;
+    ASSERT_EQ(low.nextRawBlock(raw), blockRecords);
+    ASSERT_EQ(high.nextRawBlock(raw), blockRecords);
+    ASSERT_TRUE(truncateFile(path, traceBytes(1000)));
+    expectTruncatedEnd(low, "low view");
+    expectTruncatedEnd(high, "high view");
+}
+
+TEST(ReaderTruncation, ShardedQueryWhileAnotherThreadTruncates)
+{
+    // Another thread cuts the file to a seeded length after a seeded
+    // delay, which lands before, during or after the query. Whatever
+    // the timing, the query returns the untouched file's table or a
+    // non-empty error.
+    const test::ScratchDir dir;
+    const std::string path = dir.path("race.smtr");
+    const auto events = validEvents(4 * blockRecords, 7);
+    ASSERT_TRUE(trace::saveTrace(path, events));
+    const auto dict = testDictionary();
+    query::Query q;
+    q.fold.kind = query::FoldKind::States;
+
+    query::Table expected;
+    std::string error;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(query::runQueryFileSharded(path, dict, q, 1, expected,
+                                           error))
+        << error;
+    // Delays span twice one untouched query, so the cuts spread over
+    // the whole run.
+    const auto spanUs = std::max<std::int64_t>(
+        2 * std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+        1);
+    const std::string want =
+        expected.render(query::OutputFormat::Csv);
+
+    sim::Random rng(sim::deriveSeed(20261018, 1));
+    for (unsigned jobs = 1; jobs <= 4; ++jobs) {
+        ASSERT_TRUE(trace::saveTrace(path, events));
+        query::Table untouched;
+        ASSERT_TRUE(query::runQueryFileSharded(path, dict, q, jobs,
+                                               untouched, error))
+            << "jobs " << jobs << ": " << error;
+        ASSERT_EQ(untouched.render(query::OutputFormat::Csv), want)
+            << "jobs " << jobs;
+        for (int round = 0; round < 8; ++round) {
+            ASSERT_TRUE(trace::saveTrace(path, events));
+            const std::chrono::microseconds delay(static_cast<
+                std::chrono::microseconds::rep>(rng.uniformInt(
+                0, static_cast<std::uint64_t>(spanUs))));
+            const std::uint64_t keep =
+                rng.uniformInt(0, traceBytes(events.size()) - 1);
+            bool cut = false;
+            std::thread cutter([&path, delay, keep, &cut] {
+                std::this_thread::sleep_for(delay);
+                cut = truncateFile(path, keep);
+            });
+            query::Table table;
+            std::string err;
+            const bool ok = query::runQueryFileSharded(
+                path, dict, q, jobs, table, err);
+            cutter.join();
+            EXPECT_TRUE(cut);
+            SCOPED_TRACE("jobs " + std::to_string(jobs) + " round " +
+                         std::to_string(round));
+            if (ok)
+                EXPECT_EQ(table.render(query::OutputFormat::Csv), want);
+            else
+                EXPECT_FALSE(err.empty());
+        }
+    }
+}
+
+TEST(ReaderTruncation, RenameOverTheReadersPathKeepsTheOldFile)
+{
+    // rename(2) replaces the directory entry, not the file: an open
+    // reader keeps reading the old file to a clean end.
+    const test::ScratchDir dir;
+    const std::string path = dir.path("renamed.smtr");
+    const std::string other = dir.path("replacement.smtr");
+    const auto events = validEvents(3 * blockRecords + 100, 8);
+    ASSERT_TRUE(trace::saveTrace(path, events));
+
+    trace::TraceReader reader(path);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    std::vector<TraceEvent> got(events.size());
+    std::size_t n = reader.nextBatch(got.data(), blockRecords);
+    ASSERT_EQ(n, blockRecords);
+    ASSERT_TRUE(trace::saveTrace(other, validEvents(1000, 9)));
+    ASSERT_EQ(std::rename(other.c_str(), path.c_str()), 0);
+    n += reader.nextBatch(got.data() + n, got.size() - n);
+    EXPECT_TRUE(reader.error().empty()) << reader.error();
+    ASSERT_EQ(n, events.size());
+    EXPECT_TRUE(reader.atEnd());
+    EXPECT_EQ(got, events);
 }

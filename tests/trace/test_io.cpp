@@ -218,6 +218,53 @@ TEST_F(TraceIo, RangeViewDeliversExactSlice)
     EXPECT_EQ(beyond.rangeLength(), 0u);
 }
 
+TEST_F(TraceIo, RangeViewsAcrossBlocksDeliverExactSlices)
+{
+    // Views that start and end inside 256 KiB read blocks (10,922
+    // records each) and span several of them: every refill stops at
+    // the view's end, whichever call drains it.
+    constexpr std::size_t block = (256 * 1024) / 24;
+    const auto original = randomTrace(3 * block + 100, 14);
+    ASSERT_TRUE(trace::saveTrace(tmpPath, original));
+    const std::uint64_t first = block / 2;
+    const std::uint64_t n = 2 * block + 17;
+    const std::vector<TraceEvent> want(
+        original.begin() + static_cast<std::ptrdiff_t>(first),
+        original.begin() + static_cast<std::ptrdiff_t>(first + n));
+
+    trace::TraceReader byEvent(tmpPath, first, n);
+    std::vector<TraceEvent> got;
+    TraceEvent ev;
+    while (byEvent.next(ev))
+        got.push_back(ev);
+    EXPECT_TRUE(byEvent.error().empty()) << byEvent.error();
+    EXPECT_EQ(got, want);
+
+    trace::TraceReader byBatch(tmpPath, first, n);
+    got.assign(n + block, TraceEvent{});
+    std::size_t at = 0;
+    while (const std::size_t k =
+               byBatch.nextBatch(got.data() + at, 4096))
+        at += k;
+    got.resize(at);
+    EXPECT_TRUE(byBatch.error().empty()) << byBatch.error();
+    EXPECT_EQ(got, want);
+
+    const trace::SharedTraceFile file(tmpPath);
+    trace::TraceReader byBlock(file, first, n);
+    got.clear();
+    const unsigned char *raw = nullptr;
+    while (const std::size_t k = byBlock.nextRawBlock(raw)) {
+        for (std::size_t i = 0; i < k; ++i) {
+            trace::TraceReader::decodeRecord(
+                raw + i * trace::TraceReader::recordBytes, ev);
+            got.push_back(ev);
+        }
+    }
+    EXPECT_TRUE(byBlock.error().empty()) << byBlock.error();
+    EXPECT_EQ(got, want);
+}
+
 TEST_F(TraceIo, UnwritablePathFails)
 {
     EXPECT_FALSE(trace::saveTrace("/nonexistent-dir/trace.smtr", {}));

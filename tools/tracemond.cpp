@@ -16,14 +16,13 @@
  *   --fifo PATH       also ingest the wire framing from a FIFO
  *                     (repeatable; created if missing)
  *   --archive DIR     write each tenant's delivered stream to
- *                     DIR/<tenant>.smtr
- *   --no-journal      disable journaled archive writes (faster,
- *                     but a crash loses the uncommitted tail)
+ *                     DIR/<tenant>.smtr, journaled: torn archives
+ *                     are repaired at startup and a resuming
+ *                     block-policy producer appends to its tenant
+ *                     file
  *   --commit N        journal commit interval in records (default
  *                     4096)
  *   --fsync           fdatasync the archive on every commit
- *   --no-resume       never append to an existing tenant archive;
- *                     collision-suffix a fresh file instead
  *   --policy NAME     default backpressure policy: block,
  *                     shed-newest, shed-oldest (default block; a
  *                     producer's Hello can override per session)
@@ -69,7 +68,7 @@ usage(const char *argv0)
         "usage: %s [options] --socket <path>\n"
         "       %s --stats <socket>\n"
         "options: --tcp PORT  --fifo PATH  --archive DIR\n"
-        "         --no-journal  --commit N  --fsync  --no-resume\n"
+        "         --commit N  --fsync\n"
         "         --policy block|shed-newest|shed-oldest\n"
         "         --ring N  --buffer N  --threads N\n",
         argv0, argv0);
@@ -141,8 +140,6 @@ main(int argc, char **argv)
             config.tcpPort = static_cast<int>(port);
         } else if (arg == "--archive" && i + 1 < argc) {
             config.archiveDir = argv[++i];
-        } else if (arg == "--no-journal") {
-            config.archiveWriter.journaled = false;
         } else if (arg == "--commit" && i + 1 < argc) {
             const long n = std::atol(argv[++i]);
             if (n < 1) {
@@ -150,12 +147,10 @@ main(int argc, char **argv)
                              argv[i]);
                 return 2;
             }
-            config.archiveWriter.commitInterval =
+            config.archiveCommitInterval =
                 static_cast<std::uint64_t>(n);
         } else if (arg == "--fsync") {
-            config.archiveWriter.fsyncOnCommit = true;
-        } else if (arg == "--no-resume") {
-            config.resumeArchives = false;
+            config.archiveFsync = true;
         } else if (arg == "--policy" && i + 1 < argc) {
             if (!live::parseBackpressure(
                     argv[++i], config.sessionDefaults.policy)) {

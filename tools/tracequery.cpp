@@ -33,7 +33,10 @@
  * incremental engine as they arrive; fixed-window count/utilization
  * queries print each window's rows the moment the window is final,
  * and when the stream ends the authoritative batch-identical table
- * is printed (under "== final" in text mode).
+ * is printed (under "== final" in text mode). A stream that ends
+ * before every announced tenant has said Bye (an evicted follower, a
+ * FIFO writer that died) still prints its table, but tracequery says
+ * on stderr that the table is incomplete and exits 1.
  *
  * Query syntax (see src/query/query.hh):
  *   filter stream=servant.* token=evWork* | window 10ms | utilization
@@ -268,14 +271,17 @@ followStream(const std::string &path, const query::Query &parsed,
         // daemon; brief pacing keeps the retry loop polite.
         ::usleep(100 * 1000);
     }
-    if (!done && !lastError.empty())
-        std::fprintf(stderr, "%s\n", lastError.c_str());
+    if (!done)
+        std::fprintf(stderr,
+                     "tracequery: incomplete table: the stream ended "
+                     "before every tenant said Bye%s%s\n",
+                     lastError.empty() ? "" : ": ", lastError.c_str());
 
     const query::Table table = engine.finish();
     if (format == query::OutputFormat::Text && printedPartial)
         std::printf("== final\n");
     writeOut(table.render(format));
-    return done || lastError.empty() ? 0 : 1;
+    return done ? 0 : 1;
 }
 
 int
